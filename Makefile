@@ -27,7 +27,7 @@ SLO_LABEL ?= slo
 STATICCHECK_VERSION ?= 2025.1.1
 GOVULNCHECK_VERSION ?= v1.1.4
 
-.PHONY: all build test race bench bench-json bench-check lint fmt ci smoke slo crash-smoke fuzz-smoke staticcheck govulncheck
+.PHONY: all build test race bench bench-json bench-check lint fmt ci smoke slo fuzz-smoke staticcheck govulncheck
 
 all: build test
 
@@ -73,28 +73,22 @@ bench-check:
 smoke:
 	bash scripts/smoke_flexwattsd.sh
 
-# Measure what the daemon sustains: boot it (race-built), drive both
-# evaluate endpoints with cmd/loadgen at a fixed rate, assert the SLO
-# floor (non-zero throughput, zero 5xx / zero shed at low load), and
-# record evals/s + p50/p95/p99 into $(BENCH_JSON). Tune with SLO_RPS,
-# SLO_BATCH, SLO_DURATION.
+# Measure what the daemon sustains: boot it (a non-race build, so the
+# numbers are the shipped binary's; race coverage lives in `race` and
+# `smoke`), drive both evaluate endpoints with cmd/loadgen at a fixed
+# rate, assert the SLO floor (non-zero throughput, zero 5xx / zero shed
+# at low load), and record evals/s + p50/p95/p99 into $(BENCH_JSON).
+# Tune with SLO_RPS, SLO_BATCH, SLO_DURATION.
 slo:
 	BENCH_JSON=$(BENCH_JSON) BENCH_LABEL=$(SLO_LABEL) bash scripts/slo_flexwattsd.sh
 
-# Crash-safety smoke: boot flexwattsd with a persistent cache dir, drive
-# cached load, SIGKILL it mid-write, corrupt a log byte, restart over the
-# same directory, and assert warm recovery (loaded records, warm hits,
-# byte-identical responses, zero 5xx).
-crash-smoke:
-	bash scripts/crashsafe_flexwattsd.sh
-
-# Short-budget fuzz runs over the two untrusted input surfaces: the
-# on-disk cache record decoder and the evaluate request decoder. -fuzz
+# Short-budget fuzz runs over the untrusted input surfaces: the evaluate
+# request (decoded, then served) and the public Point → Result path. -fuzz
 # accepts one package at a time, so two sequential invocations.
 FUZZTIME ?= 10s
 fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRecord$$' -fuzztime $(FUZZTIME) ./internal/cachestore
 	$(GO) test -run '^$$' -fuzz '^FuzzEvaluateRequest$$' -fuzztime $(FUZZTIME) ./internal/server
+	$(GO) test -run '^$$' -fuzz '^FuzzEvaluateBatch$$' -fuzztime $(FUZZTIME) ./flexwatts
 
 lint:
 	$(GO) vet ./...

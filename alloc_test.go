@@ -157,46 +157,6 @@ func TestCacheHitAllocFree(t *testing.T) {
 	}
 }
 
-// nullTier is the cheapest possible sweep.Tier; the hit path must not even
-// reach it.
-type nullTier struct{}
-
-func (nullTier) Put(pdn.Kind, pdn.Scenario, pdn.Result) {}
-
-// TestCacheHitWithTierAllocFree pins that attaching a persistent tier —
-// the disk cache under the memory cache — leaves the hit path at 0
-// allocs/op, for both computed and warm-start-preloaded entries. The tier
-// is write-behind off the miss path only; hits never touch it.
-func TestCacheHitWithTierAllocFree(t *testing.T) {
-	e := benchEnv(t)
-	scenarios := allocScenarios(t)
-	computed := scenarios["multithread-18W"]
-	preloaded := scenarios["graphics-25W"]
-	c := sweep.NewCache()
-	c.AttachTier(nullTier{})
-	m := e.Baselines[pdn.IVR]
-	if _, err := c.Evaluate(m, computed); err != nil { // warm by computing
-		t.Fatal(err)
-	}
-	res, err := m.Evaluate(preloaded)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Preload(pdn.IVR, preloaded, res) // warm by tier replay
-	for name, s := range map[string]pdn.Scenario{"computed": computed, "preloaded": preloaded} {
-		if avg := testing.AllocsPerRun(200, func() {
-			if _, err := c.Evaluate(m, s); err != nil {
-				t.Fatal(err)
-			}
-		}); avg != 0 {
-			t.Errorf("%s hit with tier attached: %.1f allocs/op, want 0", name, avg)
-		}
-	}
-	if c.WarmHits() < 200 {
-		t.Errorf("WarmHits = %d, want >= 200", c.WarmHits())
-	}
-}
-
 // TestEvaluateGridAllocFree pins the batch kernels at 0 allocs/op for a
 // whole 4128-point grid call — not merely per point: the SoA columns are
 // caller-owned, the runners are stack state, and the mask prepass uses a
@@ -235,8 +195,8 @@ func TestEvaluateGridAllocFree(t *testing.T) {
 // the serving layer and the SDK take per batch request: check a lease out,
 // fill its grid, take a result block, release. After the first cycle
 // builds the backing storage, a steady-state cycle must not allocate at
-// all; this is what keeps the daemon's warm pass allocation-free per
-// request under fleet load.
+// all; this is what keeps the batch kernel pass's evaluation storage
+// allocation-free per request under fleet load.
 func TestGridArenaAllocFree(t *testing.T) {
 	if raceDetectorEnabled {
 		t.Skip("race detector drops sync.Pool puts; alloc/reuse pins do not hold")
@@ -271,7 +231,7 @@ func TestGridArenaAllocFree(t *testing.T) {
 // garbage.
 func TestCacheGridAllocs(t *testing.T) {
 	if raceDetectorEnabled {
-		t.Skip("race detector drops sync.Pool puts; the warm pass's pooled probe scratch may reallocate")
+		t.Skip("race detector drops sync.Pool puts; the grid probe's pooled scratch may reallocate")
 	}
 	e := benchEnv(t)
 	g := gridBenchGrid(t)

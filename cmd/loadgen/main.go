@@ -39,8 +39,8 @@ import (
 )
 
 // points builds the batch evaluated by every request: a deterministic
-// spread across the AR axis, so repeated requests hit the daemon's warm
-// cache the way a steady-state fleet client would.
+// spread across the AR axis, the same points on every request, the way a
+// steady-state fleet client would send them.
 func points(batch int) []flexwatts.Point {
 	pts := make([]flexwatts.Point, batch)
 	for i := range pts {

@@ -24,15 +24,11 @@ const (
 	// PathHealthz is the liveness endpoint (GET): it answers 200 as long
 	// as the process serves requests at all.
 	PathHealthz = "/healthz"
-	// PathReadyz is the readiness endpoint (GET): 503 until the
-	// persistent cache tier's warm-start scan has completed, 200 after —
-	// with Ready.Degraded true when the disk tier has been disabled by
-	// repeated faults (the daemon still serves at full correctness,
-	// computing what it can no longer persist).
+	// PathReadyz is the readiness endpoint (GET): 200 with a Ready body
+	// once the daemon listens.
 	PathReadyz = "/readyz"
 	// PathAdminCache is the cache administration endpoint: GET reports
-	// CacheStats for both tiers, DELETE flushes them (memory keys dropped,
-	// disk segments removed).
+	// the in-memory evaluation cache's CacheStats, DELETE flushes it.
 	PathAdminCache = "/v1/admin/cache"
 	// PathMetrics exposes operational metrics in Prometheus text format
 	// (GET).
@@ -178,26 +174,37 @@ type Health struct {
 	CacheMisses int64  `json:"cache_misses"`
 }
 
-// Ready is the GET /readyz response. Status is "starting" (503) until the
-// warm-start scan completes, then "ready" or — when the disk tier has been
-// disabled after repeated faults — "degraded" (both 200: a degraded daemon
-// serves every request at full correctness by recomputing).
+// Ready is the GET /readyz response. The daemon answers 200 with Status
+// "ready" from its first request.
 type Ready struct {
-	Status      string  `json:"status"`
-	Degraded    bool    `json:"degraded"`
-	WarmRecords int64   `json:"warm_records"`
+	Status string `json:"status"`
+	// Deprecated: the daemon has no persistent cache tier that could
+	// degrade; Degraded is always false.
+	Degraded bool `json:"degraded"`
+	// Deprecated: the daemon has no persistent cache tier to warm-start
+	// from; WarmRecords is always 0.
+	WarmRecords int64 `json:"warm_records"`
+	// Deprecated: the daemon has no persistent cache tier to warm-start
+	// from; WarmSeconds is always 0.
 	WarmSeconds float64 `json:"warm_seconds"`
 }
 
-// MemoryCacheStats describes the in-memory evaluation cache tier.
+// MemoryCacheStats describes the daemon's in-memory evaluation cache,
+// which the figure drivers and the optimizer fill; evaluate batches
+// bypass it.
 type MemoryCacheStats struct {
-	Keys     int   `json:"keys"`
-	Hits     int64 `json:"hits"`
-	Misses   int64 `json:"misses"`
+	Keys   int   `json:"keys"`
+	Hits   int64 `json:"hits"`
+	Misses int64 `json:"misses"`
+	// Deprecated: no entry is warm-loaded from disk any more; WarmHits is
+	// always 0.
 	WarmHits int64 `json:"warm_hits"`
 }
 
-// DiskCacheStats describes the persistent cache tier.
+// DiskCacheStats described the persistent cache tier.
+//
+// Deprecated: the daemon has no persistent cache tier; CacheStats.Disk is
+// always nil.
 type DiskCacheStats struct {
 	Dir                string  `json:"dir"`
 	Degraded           bool    `json:"degraded"`
@@ -215,16 +222,19 @@ type DiskCacheStats struct {
 	Faults             int64   `json:"faults"`
 }
 
-// CacheStats is the GET /v1/admin/cache response. Disk is nil when the
-// daemon runs without a persistent tier (-cache-dir unset).
+// CacheStats is the GET /v1/admin/cache response.
 type CacheStats struct {
 	Memory MemoryCacheStats `json:"memory"`
-	Disk   *DiskCacheStats  `json:"disk,omitempty"`
+	// Deprecated: the daemon has no persistent cache tier; Disk is always
+	// nil and omitted from the wire.
+	Disk *DiskCacheStats `json:"disk,omitempty"`
 }
 
 // CacheFlush is the DELETE /v1/admin/cache response.
 type CacheFlush struct {
-	FlushedKeys  int `json:"flushed_keys"`
+	FlushedKeys int `json:"flushed_keys"`
+	// Deprecated: the daemon has no persistent cache tier to purge;
+	// RemovedFiles is always 0.
 	RemovedFiles int `json:"removed_files"`
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"repro/internal/activity"
+	"repro/internal/batch"
 	"repro/internal/core"
 	"repro/internal/domain"
 	"repro/internal/optimize"
@@ -44,7 +45,7 @@ func WithParams(p Params) Option {
 	return func(c *config) { c.params = internalParams(p) }
 }
 
-// WithWorkers bounds how many points EvaluateBatch evaluates concurrently:
+// WithWorkers bounds the worker pool EvaluateBatch's kernels run on:
 // 1 is fully serial, 0 (the default) sizes the pool by GOMAXPROCS.
 // Results are identical either way — the sweep engine collects by index.
 func WithWorkers(n int) Option {
@@ -52,9 +53,11 @@ func WithWorkers(n int) Option {
 }
 
 // WithCache toggles the memoizing evaluation cache (default on): repeated
-// baseline evaluations of the same point cost one model run per Client.
-// Disable it for memory-constrained embedding or when sweeping enormous
-// non-repeating grids.
+// scalar baseline evaluations (Evaluate, EvaluateKind) and the optimizer's
+// base-parameter candidates cost one model run per Client. EvaluateBatch
+// never uses it: a batch always recomputes through the kernels, which
+// costs less than probing the cache. Disable it for memory-constrained
+// embedding.
 func WithCache(enabled bool) Option {
 	return func(c *config) { c.cache = enabled }
 }
@@ -80,10 +83,9 @@ type Client struct {
 	flex      *core.Model
 	pred      *core.Predictor
 	cache     *sweep.Cache
-	workers   int
-	// arena recycles warmBatch's grid + result blocks across EvaluateBatch
-	// calls; its zero value is ready, so no constructor wiring is needed.
-	arena pdn.GridArena
+	// batch evaluates EvaluateBatch's points in one kernel pass, recycling
+	// its grids and result blocks across calls.
+	batch batch.Evaluator
 	// opt is the design-space search engine behind Optimize; it shares the
 	// client's platform, parameters, cache and worker bound, and owns its
 	// own grid arena so search candidates recycle blocks across runs.
@@ -120,7 +122,12 @@ func NewClient(opts ...Option) (*Client, error) {
 		baselines: baselines,
 		flex:      flex,
 		pred:      pred,
-		workers:   cfg.workers,
+		batch: batch.Evaluator{
+			Baselines: baselines,
+			Flex:      flex,
+			Predictor: pred,
+			Workers:   cfg.workers,
+		},
 	}
 	if cfg.cache {
 		c.cache = sweep.NewCache()
@@ -150,45 +157,65 @@ func (c *Client) scenario(pt Point) (pdn.Scenario, error) {
 	return s, nil
 }
 
-// evaluate runs one validated point on the PDN selected by kind.
-func (c *Client) evaluate(kind Kind, pt Point) (Result, error) {
+// point validates pt and resolves it, on the PDN selected by kind, into
+// the internal evaluation point.
+func (c *Client) point(kind Kind, pt Point) (batch.Point, error) {
 	if err := pt.Validate(); err != nil {
-		return Result{}, err
+		return batch.Point{}, err
 	}
 	ik, err := internalKind(kind)
 	if err != nil {
-		return Result{}, err
+		return batch.Point{}, err
 	}
 	s, err := c.scenario(pt)
+	if err != nil {
+		return batch.Point{}, err
+	}
+	tdp := float64(pt.TDP)
+	if pt.CState != C0 && tdp == 0 {
+		tdp = 4 // battery-life evaluation is TDP-independent (§7.1)
+	}
+	return batch.Point{Kind: ik, Scenario: s, TDP: tdp}, nil
+}
+
+// result renders an evaluation of pt on PDN kind as a public Result; mode
+// is the predicted hybrid mode of a FlexWatts point.
+func result(pt Point, kind pdn.Kind, r pdn.Result, mode core.Mode) Result {
+	m := ModeNone
+	if kind == pdn.FlexWatts {
+		m = modeFromInternal(mode)
+	}
+	res := resultFromInternal(r, m)
+	res.CState = pt.CState
+	return res
+}
+
+// evaluate runs one point on the PDN selected by kind, through the scalar
+// models.
+func (c *Client) evaluate(kind Kind, pt Point) (Result, error) {
+	p, err := c.point(kind, pt)
 	if err != nil {
 		return Result{}, err
 	}
 	var (
 		r    pdn.Result
-		mode = ModeNone
+		mode core.Mode
 	)
-	if ik == pdn.FlexWatts {
-		tdp := float64(pt.TDP)
-		if pt.CState != C0 && tdp == 0 {
-			tdp = 4 // battery-life evaluation is TDP-independent (§7.1)
-		}
+	if p.Kind == pdn.FlexWatts {
 		// Estimate Algorithm 1's inputs from the scenario the way the PMU
-		// does at runtime — the same path flexwattsd's /v1/evaluate takes,
-		// so library and service report identical numbers for a point.
-		m := c.pred.Predict(core.InputsFromScenario(s, tdp))
-		r, err = c.flex.EvaluateMode(s, m)
-		mode = modeFromInternal(m)
+		// does at runtime — the same prediction the batch path makes, so
+		// scalar and batch evaluations report identical numbers.
+		mode = c.pred.Predict(core.InputsFromScenario(p.Scenario, p.TDP))
+		r, err = c.flex.EvaluateMode(p.Scenario, mode)
 	} else if c.cache != nil {
-		r, err = c.cache.Evaluate(c.baselines[ik], s)
+		r, err = c.cache.Evaluate(c.baselines[p.Kind], p.Scenario)
 	} else {
-		r, err = c.baselines[ik].Evaluate(s)
+		r, err = c.baselines[p.Kind].Evaluate(p.Scenario)
 	}
 	if err != nil {
 		return Result{}, err
 	}
-	res := resultFromInternal(r, mode)
-	res.CState = pt.CState
-	return res, nil
+	return result(pt, p.Kind, r, mode), nil
 }
 
 // Evaluate evaluates the point on the PDN it names (pt.PDN; the zero value
@@ -236,78 +263,53 @@ func (c *Client) EvaluateMode(ctx context.Context, pt Point, mode Mode) (Result,
 	return res, nil
 }
 
-// warmBatch resolves a batch's static-baseline points through the batch
-// evaluation kernel before the per-point pass: valid points are grouped per
-// PDN kind into an SoA grid and each kind's cache misses evaluate in blocks
-// with hoisted per-kind invariants (one compiled-VR stage per grid, not one
-// model walk per point). The kernel is bitwise identical to Evaluate, so
-// the per-point pass then finds every baseline key hot and returns the same
-// bits it would have computed. Invalid points and FlexWatts points (whose
-// mode depends on the per-TDP predictor, not the scenario alone) are
-// skipped here and handled — with their exact error text and index — by
-// the per-point pass.
-func (c *Client) warmBatch(ctx context.Context, pts []Point) {
-	if c.cache == nil {
-		return
-	}
-	// At most four baseline kinds exist, so the grouping is a fixed array
-	// plus a linear scan, and the grids come from the client's arena: their
-	// column storage (and the result blocks) recycle across EvaluateBatch
-	// calls instead of allocating per call.
-	var kinds [4]pdn.Kind
-	var leases [4]*pdn.GridLease
-	nl := 0
-	for _, pt := range pts {
-		if pt.Validate() != nil {
-			continue
-		}
-		ik, err := internalKind(pt.PDN)
-		if err != nil || ik == pdn.FlexWatts {
-			continue
-		}
-		s, err := c.scenario(pt)
-		if err != nil {
-			continue
-		}
-		t := 0
-		for t < nl && kinds[t] != ik {
-			t++
-		}
-		if t == nl {
-			kinds[t] = ik
-			leases[t] = c.arena.Get()
-			nl++
-		}
-		leases[t].Grid().Append(s)
-	}
-	for t := 0; t < nl; t++ {
-		g := leases[t].Grid()
-		//nolint:errcheck // cache warmer: the per-point pass re-reports failures
-		sweep.GridMapCtx(ctx, c.workers, c.cache, c.baselines[kinds[t]], g, leases[t].Results(g.Len()), 0)
-		leases[t].Release()
-	}
-}
-
-// EvaluateBatch evaluates every point concurrently on the deterministic
-// sweep engine (results in input order; the worker bound comes from
-// WithWorkers). Cancelling ctx aborts the batch: workers stop pulling new
-// points and the call returns context.Cause(ctx). Per-point failures
-// report the lowest failing index, the same error a serial loop would stop
-// on.
+// EvaluateBatch evaluates every point and returns the results in input
+// order. The points run through the batch kernels in one pass: grouped
+// per PDN (FlexWatts points per the hybrid mode Algorithm 1 predicts for
+// them), one grid kernel call per group on the worker bound of
+// WithWorkers. The kernels are bitwise identical to the scalar models, so
+// the results are exactly those of per-point Evaluate calls. A batch
+// always recomputes: it neither reads nor fills the WithCache cache.
 //
-// When the memoizing cache is enabled (the default), static-baseline
-// points route through the batch evaluation kernel first — see warmBatch —
-// so large rectangular grids evaluate at grid throughput while results,
-// ordering and errors stay exactly those of the per-point path.
+// Cancelling ctx aborts the batch with context.Cause(ctx). Per-point
+// failures report the lowest failing index, the same error a serial loop
+// would stop on.
 func (c *Client) EvaluateBatch(ctx context.Context, pts []Point) ([]Result, error) {
-	c.warmBatch(ctx, pts)
-	return sweep.MapCtx(ctx, c.workers, len(pts), func(i int) (Result, error) {
-		r, err := c.evaluate(pts[i].PDN, pts[i])
+	if err := ctx.Err(); err != nil {
+		return nil, context.Cause(ctx)
+	}
+	if len(pts) == 0 {
+		return nil, nil
+	}
+	// Resolve points up to the first invalid one: a later point cannot
+	// fail at a lower index, but an earlier one still can.
+	bpts := make([]batch.Point, 0, len(pts))
+	var invalid error
+	for _, pt := range pts {
+		p, err := c.point(pt.PDN, pt)
 		if err != nil {
-			return Result{}, fmt.Errorf("point %d: %w", i, err)
+			invalid = err
+			break
 		}
-		return r, nil
-	})
+		bpts = append(bpts, p)
+	}
+	res, err := c.batch.Evaluate(ctx, bpts)
+	if err != nil {
+		return nil, err
+	}
+	defer res.Release()
+	if i, err := res.FirstErr(); err != nil {
+		return nil, fmt.Errorf("point %d: %w", i, err)
+	}
+	if invalid != nil {
+		return nil, fmt.Errorf("point %d: %w", len(bpts), invalid)
+	}
+	out := make([]Result, len(pts))
+	for i, pt := range pts {
+		r, _ := res.At(i)
+		out[i] = result(pt, bpts[i].Kind, r, res.Mode(i))
+	}
+	return out, nil
 }
 
 // Phase is one interval of a workload trace: the platform stays at one

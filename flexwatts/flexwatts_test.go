@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -94,14 +95,32 @@ func TestCStatePoint(t *testing.T) {
 	}
 }
 
+// mixedBatch covers all five PDN kinds at active points across the TDP,
+// workload and AR axes and at every package idle state; its FlexWatts
+// points span both hybrid modes.
+func mixedBatch() []flexwatts.Point {
+	var pts []flexwatts.Point
+	for _, k := range append([]flexwatts.Kind{flexwatts.FlexWatts}, flexwatts.Kinds()...) {
+		for _, tdp := range []flexwatts.Watt{4, 9, 18, 35, 50} {
+			for _, wt := range flexwatts.WorkloadTypes() {
+				for _, ar := range []float64{0.25, 0.6, 1} {
+					pts = append(pts, flexwatts.Point{PDN: k, TDP: tdp, Workload: wt, AR: ar})
+				}
+			}
+		}
+		for _, cs := range flexwatts.CStates()[1:] {
+			pts = append(pts, flexwatts.Point{PDN: k, CState: cs})
+		}
+	}
+	return pts
+}
+
+// TestEvaluateBatchMatchesSerial pins the batch kernel pass against its
+// oracle, per-point scalar Evaluate: every Result field bit for bit, over
+// a mixed batch whose FlexWatts points land in both hybrid modes.
 func TestEvaluateBatchMatchesSerial(t *testing.T) {
 	c := newClient(t)
-	pts := []flexwatts.Point{
-		{PDN: flexwatts.IVR, TDP: 18, Workload: flexwatts.MultiThread, AR: 0.6},
-		{PDN: flexwatts.LDO, TDP: 4, Workload: flexwatts.SingleThread, AR: 0.5},
-		{TDP: 25, Workload: flexwatts.Graphics, AR: 0.45},
-		{PDN: flexwatts.MBVR, CState: flexwatts.C6},
-	}
+	pts := mixedBatch()
 	batch, err := c.EvaluateBatch(ctx, pts)
 	if err != nil {
 		t.Fatal(err)
@@ -109,14 +128,23 @@ func TestEvaluateBatchMatchesSerial(t *testing.T) {
 	if len(batch) != len(pts) {
 		t.Fatalf("%d results for %d points", len(batch), len(pts))
 	}
+	modes := map[flexwatts.Mode]bool{}
 	for i, pt := range pts {
 		serial, err := c.Evaluate(ctx, pt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if batch[i] != serial {
-			t.Errorf("point %d: batch %+v != serial %+v", i, batch[i], serial)
+		if pt.PDN == flexwatts.FlexWatts {
+			modes[serial.Mode] = true
 		}
+		// %v prints every float in its shortest round-trip form, so equal
+		// renderings mean equal bits (signed zeros included).
+		if got, want := fmt.Sprintf("%+v", batch[i]), fmt.Sprintf("%+v", serial); got != want {
+			t.Errorf("point %d (%+v): batch %s != serial %s", i, pt, got, want)
+		}
+	}
+	if !modes[flexwatts.IVRMode] || !modes[flexwatts.LDOMode] {
+		t.Errorf("FlexWatts points predicted into modes %v, want both", modes)
 	}
 }
 

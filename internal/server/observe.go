@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/flexwatts/api"
-	"repro/internal/cachestore"
 	"repro/internal/metrics"
 	"repro/internal/sweep"
 )
@@ -71,7 +70,6 @@ type serverMetrics struct {
 	inflightPoints *metrics.Gauge
 	pointsTotal    *metrics.Counter
 	streamedTotal  *metrics.Counter
-	gridWarmPoints *metrics.Counter
 	panics         *metrics.Counter
 
 	optimizeInflight   *metrics.Gauge
@@ -80,9 +78,9 @@ type serverMetrics struct {
 	optimizeSeconds    *metrics.Histogram
 }
 
-// newServerMetrics builds the registry over the shared evaluation cache,
-// the optional persistent tier, and the server's start time.
-func newServerMetrics(cache *sweep.Cache, store *cachestore.Store, start time.Time) *serverMetrics {
+// newServerMetrics builds the registry over the shared evaluation cache
+// and the server's start time.
+func newServerMetrics(cache *sweep.Cache, start time.Time) *serverMetrics {
 	reg := metrics.NewRegistry()
 	m := &serverMetrics{
 		reg:      reg,
@@ -115,8 +113,6 @@ func newServerMetrics(cache *sweep.Cache, store *cachestore.Store, start time.Ti
 		"Evaluation points completed, buffered and streamed.")
 	m.streamedTotal = reg.Counter("flexwattsd_points_streamed_total",
 		"Evaluation points delivered over /v1/evaluate/stream.")
-	m.gridWarmPoints = reg.Counter("flexwattsd_grid_warm_points_total",
-		"Baseline points routed through the batch-kernel warm pass.")
 	m.panics = reg.Counter("flexwattsd_panics_total",
 		"Handler panics recovered by the serving middleware.")
 	m.optimizeInflight = reg.Gauge("flexwattsd_optimize_inflight",
@@ -150,40 +146,6 @@ func newServerMetrics(cache *sweep.Cache, store *cachestore.Store, start time.Ti
 	reg.GaugeFunc("flexwattsd_uptime_seconds",
 		"Seconds since the daemon started.",
 		func() float64 { return time.Since(start).Seconds() })
-	reg.CounterFunc("flexwattsd_tier_hits_total",
-		"Evaluations answered by entries warm-loaded from the persistent tier.",
-		func() float64 { return float64(cache.WarmHits()) })
-	if store != nil {
-		reg.CounterFunc("flexwattsd_tier_persisted_total",
-			"Results written behind to the persistent cache tier.",
-			func() float64 { return float64(store.Stats().Persisted) })
-		reg.CounterFunc("flexwattsd_tier_dropped_total",
-			"Write-behind records dropped (queue full or tier degraded).",
-			func() float64 { return float64(store.Stats().Dropped) })
-		reg.CounterFunc("flexwattsd_tier_faults_total",
-			"Disk faults absorbed by the persistent tier.",
-			func() float64 { return float64(store.Stats().Faults) })
-		reg.GaugeFunc("flexwattsd_tier_quarantined_records",
-			"Records lost to quarantined (corrupt) segment files.",
-			func() float64 { return float64(store.Stats().QuarantinedRecords) })
-		reg.GaugeFunc("flexwattsd_tier_queue_depth",
-			"Write-behind records waiting for the persister goroutine.",
-			func() float64 { return float64(store.Stats().QueueDepth) })
-		reg.GaugeFunc("flexwattsd_tier_degraded",
-			"1 when the persistent tier has disabled itself after repeated faults.",
-			func() float64 {
-				if store.Degraded() {
-					return 1
-				}
-				return 0
-			})
-		reg.GaugeFunc("flexwattsd_tier_warm_start_seconds",
-			"Wall time the boot warm-start scan took; 0 until it completes.",
-			func() float64 { return store.Stats().WarmStartSeconds })
-		reg.GaugeFunc("flexwattsd_tier_loaded_records",
-			"Records replayed from disk into the in-memory cache at warm start.",
-			func() float64 { return float64(store.Stats().Loaded) })
-	}
 	return m
 }
 

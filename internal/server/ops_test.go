@@ -16,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/flexwatts"
 	"repro/flexwatts/api"
 	"repro/internal/experiments"
 )
@@ -71,12 +72,43 @@ func streamLines(t *testing.T, ts *httptest.Server, body string) (int, []api.Eva
 	return resp.StatusCode, lines, resp.Header
 }
 
-// TestEvaluateStreamMatchesBuffered is the endpoint-parity contract: the
-// same batch through /v1/evaluate and /v1/evaluate/stream must produce the
-// same results, with stream lines index-tagged in order.
+// mixedPoints covers all five PDN kinds at active points across the TDP,
+// workload and AR axes and at every package idle state; its FlexWatts
+// points span both hybrid modes.
+func mixedPoints() []flexwatts.Point {
+	var pts []flexwatts.Point
+	for _, k := range append([]flexwatts.Kind{flexwatts.FlexWatts}, flexwatts.Kinds()...) {
+		for _, tdp := range []flexwatts.Watt{4, 9, 18, 35, 50} {
+			for _, wt := range flexwatts.WorkloadTypes() {
+				for _, ar := range []float64{0.25, 0.6, 1} {
+					pts = append(pts, flexwatts.Point{PDN: k, TDP: tdp, Workload: wt, AR: ar})
+				}
+			}
+		}
+		for _, cs := range flexwatts.CStates()[1:] {
+			pts = append(pts, flexwatts.Point{PDN: k, CState: cs})
+		}
+	}
+	return pts
+}
+
+// TestEvaluateStreamMatchesBuffered is the endpoint-parity contract: a
+// mixed batch through /v1/evaluate and /v1/evaluate/stream must serve, bit
+// for bit, what per-point scalar flexwatts.Client.Evaluate returns — the
+// oracle that stays off the kernel pass both endpoints run — with stream
+// lines index-tagged in order.
 func TestEvaluateStreamMatchesBuffered(t *testing.T) {
 	ts := testServer(t)
-	body := arBatch(100)
+	pts := mixedPoints()
+	req := api.EvalRequest{Points: make([]api.EvalPoint, len(pts))}
+	for i, pt := range pts {
+		req.Points[i] = api.EvalPointFromPoint(pt)
+	}
+	raw, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := string(raw)
 
 	code, buffered := postEvaluate(t, ts, body)
 	if code != http.StatusOK {
@@ -94,19 +126,45 @@ func TestEvaluateStreamMatchesBuffered(t *testing.T) {
 	if ct := hdr.Get("Content-Type"); !strings.HasPrefix(ct, "application/x-ndjson") {
 		t.Errorf("stream content type %q", ct)
 	}
-	if len(lines) != len(resp.Results) {
-		t.Fatalf("stream delivered %d lines, buffered %d results", len(lines), len(resp.Results))
+	if len(resp.Results) != len(pts) || len(lines) != len(pts) {
+		t.Fatalf("%d points: buffered %d results, stream %d lines", len(pts), len(resp.Results), len(lines))
 	}
-	for i, line := range lines {
+
+	lib, err := flexwatts.NewClient()
+	if err != nil {
+		t.Fatal(err)
+	}
+	modes := map[flexwatts.Mode]bool{}
+	for i, pt := range pts {
+		r, err := lib.Evaluate(context.Background(), pt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pt.PDN == flexwatts.FlexWatts {
+			modes[r.Mode] = true
+		}
+		// %v prints every float in its shortest round-trip form (and JSON
+		// carries that form), so equal renderings mean equal bits.
+		want := fmt.Sprintf("%+v", api.EvalResult{
+			PDN: r.PDN.String(), CState: r.CState.String(), ETEE: r.ETEE,
+			PNom: float64(r.PNomTotal), PIn: float64(r.PIn), Loss: float64(r.Loss()),
+		})
+		if got := fmt.Sprintf("%+v", resp.Results[i]); got != want {
+			t.Errorf("point %d (%+v): buffered %s, scalar %s", i, pt, got, want)
+		}
+		line := lines[i]
 		if line.Index != i {
 			t.Fatalf("line %d carries index %d (out of order?)", i, line.Index)
 		}
 		if line.Err() != nil {
 			t.Fatalf("line %d: unexpected error %v", i, line.Err())
 		}
-		if *line.Result != resp.Results[i] {
-			t.Errorf("line %d: stream %+v != buffered %+v", i, *line.Result, resp.Results[i])
+		if got := fmt.Sprintf("%+v", *line.Result); got != want {
+			t.Errorf("point %d (%+v): stream %s, scalar %s", i, pt, got, want)
 		}
+	}
+	if !modes[flexwatts.IVRMode] || !modes[flexwatts.LDOMode] {
+		t.Errorf("FlexWatts points predicted into modes %v, want both", modes)
 	}
 }
 

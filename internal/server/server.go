@@ -1,10 +1,11 @@
 // Package server implements flexwattsd's HTTP/JSON API: a long-lived
 // serving layer over the experiments registry and the zero-alloc PDN
-// evaluation core. Every request shares one experiments.Env — and therefore
-// one sharded sweep.Cache — so concurrent clients hit memoized evaluation
-// cells instead of recomputing the paper's grids, and experiment datasets
-// themselves are computed at most once per process and re-rendered per
-// request.
+// evaluation core. Every request shares one experiments.Env: experiment
+// datasets are computed at most once per process and re-rendered per
+// request, the figure drivers and the optimizer share the env's sharded
+// sweep.Cache, and evaluate batches recompute their points through the
+// grid kernels in one pass (internal/batch), which costs less than a
+// cache probe would.
 //
 // The wire vocabulary — request/response bodies, endpoint paths, typed
 // sentinel errors and their status mapping — lives in repro/flexwatts/api,
@@ -43,20 +44,16 @@ import (
 	"runtime"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/flexwatts"
 	"repro/flexwatts/api"
 	"repro/flexwatts/report"
-	"repro/internal/cachestore"
-	"repro/internal/core"
+	"repro/internal/batch"
 	"repro/internal/domain"
 	"repro/internal/experiments"
 	"repro/internal/optimize"
 	"repro/internal/pdn"
-	"repro/internal/sweep"
-	"repro/internal/units"
 	"repro/internal/workload"
 )
 
@@ -87,10 +84,6 @@ type Options struct {
 	// RetryAfter is the hint written on 503 shed responses; <= 0 means
 	// 1s. (429 responses compute their hint from the bucket's refill.)
 	RetryAfter time.Duration
-	// StreamWindow bounds how many results /v1/evaluate/stream holds for
-	// in-order delivery; <= 0 means 4× the worker count. Memory per
-	// stream is O(window), never O(points).
-	StreamWindow int
 	// StreamWriteTimeout bounds how long one streamed chunk may take to
 	// reach the client: the stream handler re-arms a rolling write
 	// deadline before every flush, which both exempts the route from the
@@ -102,19 +95,11 @@ type Options struct {
 	// excess searches are shed with 503 + Retry-After. <= 0 means
 	// DefaultMaxInflightOptimize.
 	MaxInflightOptimize int
-	// Store, when non-nil, is the persistent cache tier: it is attached
-	// under the environment's in-memory cache (write-behind) and its
-	// segments are replayed into it by an asynchronous warm-start scan.
-	// GET /readyz answers 503 until that scan completes, and reports
-	// degraded:true if the tier disables itself after repeated disk
-	// faults. The server owns the store's lifecycle from here on.
-	Store *cachestore.Store
 	// AccessLog, when non-nil, receives one structured JSON line per
 	// request.
 	AccessLog *log.Logger
 	// ErrorLog, when non-nil, receives operational errors (recovered
-	// handler panics with stacks, warm-start reports); nil uses the
-	// process-default logger.
+	// handler panics with stacks); nil uses the process-default logger.
 	ErrorLog *log.Logger
 }
 
@@ -151,13 +136,9 @@ type Server struct {
 	// the environment's platform, parameters and evaluation cache.
 	optBudget *pointBudget
 	opt       optimize.Engine
-	// arena recycles the warm-pass grid + result blocks across evaluate
-	// requests, so the batch prepass stops costing one grid allocation
-	// per request under steady load.
-	arena pdn.GridArena
-	// ready flips once the persistent tier's warm-start scan completes
-	// (immediately when no tier is configured); /readyz keys off it.
-	ready atomic.Bool
+	// batch evaluates /v1/evaluate and /v1/evaluate/stream batches in one
+	// kernel pass, recycling its grids and result blocks across requests.
+	batch batch.Evaluator
 }
 
 // datasetMemo computes an experiment's dataset exactly once; concurrent
@@ -190,7 +171,7 @@ func New(env *experiments.Env, opts Options) *Server {
 		opts.MaxInflightOptimize = DefaultMaxInflightOptimize
 	}
 	start := time.Now()
-	m := newServerMetrics(env.Cache, opts.Store, start)
+	m := newServerMetrics(env.Cache, start)
 	s := &Server{
 		env:     env,
 		opts:    opts,
@@ -207,52 +188,29 @@ func New(env *experiments.Env, opts Options) *Server {
 			Cache:    env.Cache,
 			Workers:  opts.Workers,
 		},
+		batch: batch.Evaluator{
+			Baselines: env.Baselines,
+			Flex:      env.Flex,
+			Predictor: env.Predictor,
+			Workers:   opts.Workers,
+		},
 	}
-	m.reg.GaugeFunc("flexwattsd_ready",
-		"1 once the warm-start scan has completed and the daemon is ready.",
-		func() float64 {
-			if s.ready.Load() {
-				return 1
-			}
-			return 0
-		})
 	m.reg.CounterFunc("flexwattsd_grid_arena_gets_total",
-		"Grid arena lease checkouts by the evaluate handlers' warm pass.",
-		func() float64 { gets, _ := s.arena.Stats(); return float64(gets) })
+		"Grid arena lease checkouts by the evaluate handlers' kernel pass.",
+		func() float64 { gets, _ := s.batch.ArenaStats(); return float64(gets) })
 	m.reg.CounterFunc("flexwattsd_grid_arena_reuses_total",
 		"Grid arena checkouts satisfied by a recycled lease.",
-		func() float64 { _, reuses := s.arena.Stats(); return float64(reuses) })
+		func() float64 { _, reuses := s.batch.ArenaStats(); return float64(reuses) })
 	m.reg.GaugeFunc("flexwattsd_grid_arena_reuse_ratio",
 		"Recycled fraction of grid arena checkouts; near 1 under steady load.",
 		func() float64 {
-			gets, reuses := s.arena.Stats()
+			gets, reuses := s.batch.ArenaStats()
 			if gets == 0 {
 				return 0
 			}
 			return float64(reuses) / float64(gets)
 		})
-	if opts.Store != nil {
-		env.Cache.AttachTier(opts.Store)
-		go s.warmStart()
-	} else {
-		s.ready.Store(true)
-	}
 	return s
-}
-
-// warmStart replays the persistent tier into the in-memory cache and then
-// marks the server ready. It runs concurrently with traffic: requests
-// arriving during the scan are served (computing what is not yet warm),
-// only /readyz holds back until the replay is complete.
-func (s *Server) warmStart() {
-	defer s.ready.Store(true)
-	begin := time.Now()
-	n := s.opts.Store.WarmStart(func(k pdn.Kind, sc pdn.Scenario, res pdn.Result) {
-		s.env.Cache.Preload(k, sc, res)
-	})
-	st := s.opts.Store.Stats()
-	s.logf("flexwattsd: cache warm-start: %d records in %s (quarantined files %d, stale %d, degraded %v)",
-		n, time.Since(begin).Round(time.Millisecond), st.QuarantinedFiles, st.StaleFiles, st.Degraded)
 }
 
 // logf writes one operational log line to ErrorLog (or the default logger).
@@ -399,84 +357,32 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// handleReadyz is GET /readyz — the readiness probe, distinct from the
-// /healthz liveness probe: a booting daemon is alive but answers 503 here
-// until the persistent tier's warm-start replay completes, so a rolling
-// deploy does not route traffic at a cold cache. Once ready the status is
-// "ready", or "degraded" when the disk tier has disabled itself after
-// repeated faults — degraded is still 200: the daemon serves at full
-// correctness, it just recomputes what it can no longer persist.
+// handleReadyz is GET /readyz, the readiness probe beside the /healthz
+// liveness probe. The daemon has no start-up work left once it listens,
+// so it is ready from its first request.
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	if !allow(w, r, http.MethodGet) {
 		return
 	}
-	var degraded bool
-	var loaded int64
-	var warmSec float64
-	if st := s.opts.Store; st != nil {
-		stats := st.Stats()
-		degraded = stats.Degraded
-		loaded = stats.Loaded
-		warmSec = stats.WarmStartSeconds
-	}
-	if !s.ready.Load() {
-		writeJSON(w, http.StatusServiceUnavailable, api.Ready{Status: "starting", Degraded: degraded})
-		return
-	}
-	status := "ready"
-	if degraded {
-		status = "degraded"
-	}
-	writeJSON(w, http.StatusOK, api.Ready{
-		Status:      status,
-		Degraded:    degraded,
-		WarmRecords: loaded,
-		WarmSeconds: warmSec,
-	})
+	writeJSON(w, http.StatusOK, api.Ready{Status: "ready"})
 }
 
-// handleAdminCache serves /v1/admin/cache: GET reports both cache tiers,
-// DELETE flushes them — memory keys dropped, disk segments removed, and a
-// degraded disk tier given a fresh start (a purge clears its fault state).
+// handleAdminCache serves /v1/admin/cache: GET reports the shared
+// in-memory cache, DELETE flushes it. Only the figure drivers and the
+// optimizer fill it; evaluate batches bypass it.
 func (s *Server) handleAdminCache(w http.ResponseWriter, r *http.Request) {
 	switch r.Method {
 	case http.MethodGet:
 		hits, misses := s.env.Cache.Stats()
-		stats := api.CacheStats{
+		writeJSON(w, http.StatusOK, api.CacheStats{
 			Memory: api.MemoryCacheStats{
-				Keys:     s.env.Cache.Len(),
-				Hits:     hits,
-				Misses:   misses,
-				WarmHits: s.env.Cache.WarmHits(),
+				Keys:   s.env.Cache.Len(),
+				Hits:   hits,
+				Misses: misses,
 			},
-		}
-		if st := s.opts.Store; st != nil {
-			d := st.Stats()
-			stats.Disk = &api.DiskCacheStats{
-				Dir:                d.Dir,
-				Degraded:           d.Degraded,
-				WarmStarted:        d.WarmStarted,
-				LoadedRecords:      d.Loaded,
-				WarmStartSeconds:   d.WarmStartSeconds,
-				PersistedRecords:   d.Persisted,
-				DroppedRecords:     d.Dropped,
-				QueueDepth:         d.QueueDepth,
-				QueueCap:           d.QueueCap,
-				QuarantinedFiles:   d.QuarantinedFiles,
-				QuarantinedRecords: d.QuarantinedRecords,
-				TruncatedTails:     d.TruncatedTails,
-				StaleFiles:         d.StaleFiles,
-				Faults:             d.Faults,
-			}
-		}
-		writeJSON(w, http.StatusOK, stats)
+		})
 	case http.MethodDelete:
-		removed := 0
-		if st := s.opts.Store; st != nil {
-			removed = st.Purge()
-		}
-		flushed := s.env.Cache.Reset()
-		writeJSON(w, http.StatusOK, api.CacheFlush{FlushedKeys: flushed, RemovedFiles: removed})
+		writeJSON(w, http.StatusOK, api.CacheFlush{FlushedKeys: s.env.Cache.Reset()})
 	default:
 		allow(w, r, http.MethodGet, http.MethodDelete)
 	}
@@ -535,31 +441,24 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 	b.WriteTo(w) //nolint:errcheck // client gone, nothing to do
 }
 
-// evalJob is a validated point ready for the sweep pool.
-type evalJob struct {
-	kind     pdn.Kind
-	scenario pdn.Scenario
-	tdp      units.Watt
-}
-
 // buildJob validates one request point into an evaluable job. Parsing and
 // validation are the library's: the wire point becomes a typed
 // flexwatts.Point (api.EvalPoint.Point) and Point.Validate applies the one
 // set of rules, so the daemon can never drift from what the library
 // considers a valid point; only the scenario construction is local.
-func (s *Server) buildJob(p api.EvalPoint) (evalJob, error) {
+func (s *Server) buildJob(p api.EvalPoint) (batch.Point, error) {
 	pt, err := p.Point()
 	if err != nil {
-		return evalJob{}, err
+		return batch.Point{}, err
 	}
 	if err := pt.Validate(); err != nil {
-		return evalJob{}, err
+		return batch.Point{}, err
 	}
 	// The typed and internal enums share the paper's spelling, so the
 	// String/Parse round trip is the conversion.
 	kind, err := pdn.ParseKind(pt.PDN.String())
 	if err != nil {
-		return evalJob{}, err
+		return batch.Point{}, err
 	}
 	tdp := float64(pt.TDP)
 	if pt.CState != flexwatts.C0 {
@@ -567,31 +466,31 @@ func (s *Server) buildJob(p api.EvalPoint) (evalJob, error) {
 		// fig4j/fig8c scenarios; the TDP only steers FlexWatts' predictor.
 		cstate, err := domain.ParseCState(pt.CState.String())
 		if err != nil {
-			return evalJob{}, err
+			return batch.Point{}, err
 		}
 		if tdp == 0 {
 			tdp = 4 // battery-life evaluation is TDP-independent (§7.1)
 		}
-		return evalJob{kind: kind, scenario: workload.CStateScenario(s.env.Platform, cstate), tdp: tdp}, nil
+		return batch.Point{Kind: kind, Scenario: workload.CStateScenario(s.env.Platform, cstate), TDP: tdp}, nil
 	}
 	wt, err := workload.ParseType(pt.Workload.String())
 	if err != nil {
-		return evalJob{}, err
+		return batch.Point{}, err
 	}
 	sc, err := workload.TDPScenario(s.env.Platform, tdp, wt, pt.AR)
 	if err != nil {
-		return evalJob{}, err
+		return batch.Point{}, err
 	}
-	return evalJob{kind: kind, scenario: sc, tdp: tdp}, nil
+	return batch.Point{Kind: kind, Scenario: sc, TDP: tdp}, nil
 }
 
 // decodeEvalRequest reads and validates an evaluate request body into
-// sweep-ready jobs — shared by the buffered and streaming endpoints, so
+// batch points — shared by the buffered and streaming endpoints, so
 // the two accept exactly the same points. On failure the error response
 // (uniform api.Error envelope) has been written and ok is false. A body
 // exceeding MaxBodyBytes is shed as api.ErrBatchTooLarge (413), matching
 // the point-count cap it approximates.
-func (s *Server) decodeEvalRequest(w http.ResponseWriter, r *http.Request) (jobs []evalJob, ok bool) {
+func (s *Server) decodeEvalRequest(w http.ResponseWriter, r *http.Request) (jobs []batch.Point, ok bool) {
 	var req api.EvalRequest
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes))
 	dec.DisallowUnknownFields()
@@ -613,7 +512,7 @@ func (s *Server) decodeEvalRequest(w http.ResponseWriter, r *http.Request) (jobs
 			api.ErrBatchTooLarge, len(req.Points), s.opts.MaxBatch))
 		return nil, false
 	}
-	jobs = make([]evalJob, len(req.Points))
+	jobs = make([]batch.Point, len(req.Points))
 	for i, p := range req.Points {
 		job, err := s.buildJob(p)
 		if err != nil {
@@ -625,63 +524,11 @@ func (s *Server) decodeEvalRequest(w http.ResponseWriter, r *http.Request) (jobs
 	return jobs, true
 }
 
-// warmGrid resolves a batch's baseline points through the batch kernel
-// before the per-point sweep: jobs are grouped per PDN kind into an SoA
-// grid and the cache misses of each kind evaluate in blocks with hoisted
-// per-kind invariants (internal/pdn/grid.go) instead of one scalar model
-// run per point. Purely a cache warmer — the kernel is bitwise identical
-// to Evaluate, so the per-point pass then finds every baseline key hot and
-// the response bytes cannot change. Errors (an invalid point, a cancelled
-// request) are deliberately dropped here: the per-point pass reports them
-// with the request's exact error shape and index. FlexWatts points stay
-// scalar — their mode comes from the per-TDP predictor, not the scenario
-// alone, so they are not cacheable by scenario key.
-func (s *Server) warmGrid(r *http.Request, jobs []evalJob) {
-	// Group per kind into arena-leased grids: at most four baseline kinds
-	// exist, so a fixed array plus a linear scan replaces the old per-call
-	// map, and the leases recycle their column storage across requests —
-	// the warm pass allocates nothing once the arena is hot.
-	var kinds [4]pdn.Kind
-	var leases [4]*pdn.GridLease
-	nl := 0
-	for _, j := range jobs {
-		if j.kind == pdn.FlexWatts {
-			continue
-		}
-		t := 0
-		for t < nl && kinds[t] != j.kind {
-			t++
-		}
-		if t == nl {
-			kinds[t] = j.kind
-			leases[t] = s.arena.Get()
-			nl++
-		}
-		leases[t].Grid().Append(j.scenario)
-	}
-	for t := 0; t < nl; t++ {
-		g := leases[t].Grid()
-		s.metrics.gridWarmPoints.Add(int64(g.Len()))
-		//nolint:errcheck // cache warmer: the sweep re-reports any failure
-		sweep.GridMapCtx(r.Context(), s.workers(), s.env.Cache, s.env.Baselines[kinds[t]], g, leases[t].Results(g.Len()), 0)
-		leases[t].Release()
-	}
-}
-
-// evalOne evaluates one job, with results flowing through the shared env
-// cache for baseline kinds.
-func (s *Server) evalOne(job evalJob) (pdn.Result, error) {
-	if job.kind == pdn.FlexWatts {
-		return core.NewAutoModel(s.env.Flex, s.env.Predictor, job.tdp).Evaluate(job.scenario)
-	}
-	return s.env.Eval(job.kind, job.scenario)
-}
-
 // wireResult renders an evaluation into its wire form.
-func wireResult(job evalJob, res pdn.Result) api.EvalResult {
+func wireResult(job batch.Point, res pdn.Result) api.EvalResult {
 	return api.EvalResult{
-		PDN:    job.kind.String(),
-		CState: job.scenario.CState.String(),
+		PDN:    job.Kind.String(),
+		CState: job.Scenario.CState.String(),
 		ETEE:   res.ETEE,
 		PNom:   res.PNomTotal,
 		PIn:    res.PIn,
@@ -702,35 +549,30 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer release()
+	s.metrics.inflightSweeps.Add(1)
+	defer s.metrics.inflightSweeps.Add(-1)
 
-	// Batch through the sweep engine on the request's context with the
-	// request-scoped worker bound; baseline evaluations dedupe through the
-	// shared env cache, so a hot scenario costs one evaluation per
-	// process, not per request. A cancelled request (client disconnect,
-	// deadline) stops the sweep mid-batch: workers pull no further points.
+	// One kernel pass on the request's context: a cancelled request
+	// (client disconnect, deadline) stops the batch between kernel chunks,
+	// and there is no one left to answer.
+	res, err := s.batch.Evaluate(r.Context(), jobs)
+	if err != nil {
+		return
+	}
+	defer res.Release()
+	if i, err := res.FirstErr(); err != nil {
+		writeErr(w, fmt.Errorf("%w: point %d: %v", api.ErrEvaluation, i, err))
+		return
+	}
+	results := make([]api.EvalResult, len(jobs))
+	for i := range jobs {
+		out, _ := res.At(i)
+		results[i] = wireResult(jobs[i], out)
+	}
+	s.metrics.pointsTotal.Add(int64(len(jobs)))
 	workers := s.workers()
 	if workers > len(jobs) {
 		workers = len(jobs)
-	}
-	s.metrics.inflightSweeps.Add(1)
-	defer s.metrics.inflightSweeps.Add(-1)
-	s.warmGrid(r, jobs)
-	results, err := sweep.MapCtx(r.Context(), workers, len(jobs), func(i int) (api.EvalResult, error) {
-		res, err := s.evalOne(jobs[i])
-		if err != nil {
-			return api.EvalResult{}, fmt.Errorf("%w: point %d: %v", api.ErrEvaluation, i, err)
-		}
-		s.metrics.pointsTotal.Inc()
-		return wireResult(jobs[i], res), nil
-	})
-	if err != nil {
-		if r.Context().Err() != nil {
-			// The client is gone (disconnect or deadline): there is no one
-			// to answer. The aborted sweep already freed the pool.
-			return
-		}
-		writeErr(w, err)
-		return
 	}
 	writeJSONPooled(w, http.StatusOK, api.EvalResponse{Results: results, Workers: workers})
 }

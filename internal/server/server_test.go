@@ -280,6 +280,7 @@ func TestEvaluateErrors(t *testing.T) {
 		{"bad cstate", `{"points":[{"pdn":"IVR","cstate":"C99"}]}`, http.StatusBadRequest},
 		{"bad tdp", `{"points":[{"pdn":"IVR","tdp":900,"workload":"graphics","ar":0.5}]}`, http.StatusBadRequest},
 		{"contradictory idle+active", `{"points":[{"pdn":"IVR","cstate":"C6","workload":"multi-thread","ar":0.6}]}`, http.StatusBadRequest},
+		{"ar below the modeled floor", `{"points":[{"pdn":"MBVR","tdp":14,"workload":"single-thread","ar":1e-300}]}`, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		code, body := postEvaluate(t, ts, tc.body)
@@ -311,26 +312,47 @@ func TestEvaluateBatchCap(t *testing.T) {
 	}
 }
 
-// TestSharedCacheAcrossRequests verifies the architectural point of the
-// long-lived service: a repeated evaluate batch must be served from the
-// shared memoizing cache, adding hits but no new keys.
-func TestSharedCacheAcrossRequests(t *testing.T) {
-	ts := testServer(t)
-	body := `{"points":[{"pdn":"I+MBVR","tdp":25,"workload":"graphics","ar":0.45}]}`
+// TestEvaluateLeavesCacheUnchanged pins that evaluate traffic recomputes
+// through the kernels instead of growing the shared cache, which never
+// evicts: a non-repeating 4096-point baseline batch on each evaluate
+// endpoint leaves the cache's keys and counters exactly as they were.
+func TestEvaluateLeavesCacheUnchanged(t *testing.T) {
+	env, err := experiments.NewEnv()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(New(env, Options{}).Handler())
+	t.Cleanup(ts.Close)
+	kinds := []string{"IVR", "MBVR", "LDO", "I+MBVR"}
+	var pts []string
+	for i := 0; i < DefaultMaxBatch; i++ {
+		pts = append(pts, fmt.Sprintf(`{"pdn":%q,"tdp":%g,"workload":"multi-thread","ar":%.6f}`,
+			kinds[i%4], 4+float64(i/4%8)*6, 0.2+0.8*float64(i/32+1)/float64(DefaultMaxBatch/32)))
+	}
+	body := fmt.Sprintf(`{"points":[%s]}`, strings.Join(pts, ","))
+	if code, _, _ := get(t, ts, "/v1/experiments/fig5"); code != http.StatusOK {
+		t.Fatal("experiment request failed")
+	}
+	keys := env.Cache.Len()
+	hits, misses := env.Cache.Stats()
+
 	if code, b := postEvaluate(t, ts, body); code != http.StatusOK {
-		t.Fatalf("warm-up status %d: %s", code, b)
+		t.Fatalf("evaluate status %d: %.200s", code, b)
 	}
-	hits1, _ := envVal.Cache.Stats()
-	keys := envVal.Cache.Len()
-	if code, b := postEvaluate(t, ts, body); code != http.StatusOK {
-		t.Fatalf("repeat status %d: %s", code, b)
+	resp, err := ts.Client().Post(ts.URL+"/v1/evaluate/stream", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
 	}
-	hits2, _ := envVal.Cache.Stats()
-	if hits2 <= hits1 {
-		t.Error("repeated request did not hit the shared cache")
+	lines, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK || bytes.Count(lines, []byte("\n")) != DefaultMaxBatch {
+		t.Fatalf("stream status %d, %d lines, err %v", resp.StatusCode, bytes.Count(lines, []byte("\n")), err)
 	}
-	if envVal.Cache.Len() != keys {
-		t.Errorf("repeated request grew the cache from %d to %d keys", keys, envVal.Cache.Len())
+	if env.Cache.Len() != keys {
+		t.Errorf("evaluate traffic grew the cache from %d to %d keys", keys, env.Cache.Len())
+	}
+	if h, m := env.Cache.Stats(); h != hits || m != misses {
+		t.Errorf("evaluate traffic moved the cache counters from (%d hits, %d misses) to (%d, %d)", hits, misses, h, m)
 	}
 }
 

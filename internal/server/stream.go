@@ -8,14 +8,12 @@ import (
 	"time"
 
 	"repro/flexwatts/api"
-	"repro/internal/pdn"
-	"repro/internal/sweep"
 )
 
 // Streaming write tuning: results are buffered through a bufio.Writer and
 // the chunked response is flushed every flushEvery lines, so a 100k-point
 // stream costs hundreds of flushes, not 100k syscalls, while a client
-// still sees results arrive while the sweep runs.
+// still sees lines arrive as they are encoded.
 const (
 	streamBufBytes = 32 << 10
 	flushEvery     = 64
@@ -40,15 +38,13 @@ var streamCodecPool = sync.Pool{New: func() any {
 
 // handleEvaluateStream is POST /v1/evaluate/stream: the same request body
 // as /v1/evaluate, answered as NDJSON — one api.EvalStreamResult per line,
-// in point order, written incrementally as the sweep produces them.
+// in point order, flushed in chunks as the encoder writes them.
 //
-// The memory contract is the point of the endpoint: results flow from
-// sweep.StreamCtx through a bounded reorder window straight onto the wire,
-// so the server holds O(workers) results for a grid of any size instead of
-// buffering the full response. Per-point evaluation failures become
-// error lines (index-tagged, with the api wire code) and do not end the
-// stream; a mid-stream client disconnect cancels the sweep via the
-// request context.
+// The batch runs through the same one kernel pass as /v1/evaluate, and the
+// lines are encoded straight from its result blocks, so the stream never
+// builds the buffered endpoint's response value. A point's evaluation
+// failure becomes an error line (index-tagged, with the api wire code) and
+// the stream continues; a mid-stream client disconnect ends it.
 //
 // Validation failures (malformed body, unknown vocabulary, batch cap) are
 // still whole-request errors: they are detected before the first byte is
@@ -66,11 +62,9 @@ func (s *Server) handleEvaluateStream(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer release()
+	s.metrics.inflightSweeps.Add(1)
+	defer s.metrics.inflightSweeps.Add(-1)
 
-	workers := s.workers()
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
 	// A long stream legitimately outlives any server-wide WriteTimeout, so
 	// this route manages its own: a rolling deadline re-armed before every
 	// flush. Each chunk gets StreamWriteTimeout to reach the client; only a
@@ -84,6 +78,12 @@ func (s *Server) handleEvaluateStream(w http.ResponseWriter, r *http.Request) {
 		rc.SetWriteDeadline(time.Now().Add(s.opts.StreamWriteTimeout)) //nolint:errcheck // unsupported transport = no deadline
 	}
 	extend()
+	res, err := s.batch.Evaluate(r.Context(), jobs)
+	if err != nil {
+		return // the client is gone
+	}
+	defer res.Release()
+
 	w.Header().Set("Content-Type", "application/x-ndjson; charset=utf-8")
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
@@ -95,51 +95,37 @@ func (s *Server) handleEvaluateStream(w http.ResponseWriter, r *http.Request) {
 		streamCodecPool.Put(sc)
 	}()
 
-	s.metrics.inflightSweeps.Add(1)
-	defer s.metrics.inflightSweeps.Add(-1)
-	// Warm the baseline keys through the batch kernel first (the jobs slice
-	// is already O(points), so the prepass scratch does not change the
-	// stream's memory order); the streaming sweep below then reads hot cache
-	// entries and delivers through its bounded window as before.
-	s.warmGrid(r, jobs)
-	lines := 0
-	// Errors returned by emit (encode/flush failures) mean the client is
-	// gone; StreamCtx cancels the sweep and we simply stop — there is no
-	// one left to tell, and the status line is long since committed.
-	//nolint:errcheck
-	sweep.StreamCtx(r.Context(), workers, s.opts.StreamWindow, len(jobs),
-		func(i int) (pdn.Result, error) {
-			res, err := s.evalOne(jobs[i])
-			if err == nil {
-				s.metrics.pointsTotal.Inc()
+	// An encode or flush error, or a cancelled request, means the client is
+	// gone: stop — there is no one left to tell, and the status line is
+	// long since committed.
+	for i := range jobs {
+		line := api.EvalStreamResult{Index: i}
+		out, err := res.At(i)
+		if err != nil {
+			line.Code = api.CodeFor(api.ErrEvaluation)
+			line.Error = err.Error()
+		} else {
+			wire := wireResult(jobs[i], out)
+			line.Result = &wire
+			s.metrics.pointsTotal.Inc()
+		}
+		if err := enc.Encode(&line); err != nil {
+			return
+		}
+		s.metrics.streamedTotal.Inc()
+		if (i+1)%flushEvery == 0 {
+			if r.Context().Err() != nil {
+				return
 			}
-			return res, err
-		},
-		func(i int, res pdn.Result, err error) error {
-			line := api.EvalStreamResult{Index: i}
-			if err != nil {
-				line.Code = api.CodeFor(api.ErrEvaluation)
-				line.Error = err.Error()
-			} else {
-				wire := wireResult(jobs[i], res)
-				line.Result = &wire
+			extend()
+			if err := bw.Flush(); err != nil {
+				return
 			}
-			if err := enc.Encode(&line); err != nil {
-				return err
+			if flusher != nil {
+				flusher.Flush()
 			}
-			s.metrics.streamedTotal.Inc()
-			lines++
-			if lines%flushEvery == 0 {
-				extend()
-				if err := bw.Flush(); err != nil {
-					return err
-				}
-				if flusher != nil {
-					flusher.Flush()
-				}
-			}
-			return nil
-		})
+		}
+	}
 	extend()
 	if err := bw.Flush(); err != nil {
 		return

@@ -188,3 +188,27 @@ func TestNilCacheEvaluatesDirectly(t *testing.T) {
 		t.Error("nil cache should report zero stats")
 	}
 }
+
+func TestReset(t *testing.T) {
+	c := NewCache()
+	m := &countingModel{kind: pdn.IVR}
+	for i := 0; i < 4; i++ {
+		if _, err := c.Evaluate(m, testScenario(float64(i+1))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if removed := c.Reset(); removed != 4 {
+		t.Errorf("Reset removed %d, want 4", removed)
+	}
+	if c.Len() != 0 {
+		t.Errorf("Len = %d after Reset, want 0", c.Len())
+	}
+	// The cache keeps working: the next Evaluate recomputes.
+	calls := m.calls.Load()
+	if _, err := c.Evaluate(m, testScenario(1)); err != nil {
+		t.Fatal(err)
+	}
+	if m.calls.Load() != calls+1 {
+		t.Error("post-Reset Evaluate did not recompute")
+	}
+}

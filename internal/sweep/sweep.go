@@ -119,8 +119,8 @@ func MapCtx[T any](ctx context.Context, workers, n int, fn func(i int) (T, error
 // StreamCtx runs fn(0) … fn(n-1) on a pool of workers and delivers every
 // result to emit in strict index order, from the caller's goroutine, while
 // holding at most window results in memory — the streaming counterpart of
-// MapCtx for grids too large to buffer (a million-point evaluate stream is
-// O(window), not O(n)).
+// MapCtx for grids too large to buffer. Its one caller is perfbench's
+// trace, which replays a per-point evaluate stream through it.
 //
 // Semantics differ from MapCtx where streaming demands it:
 //
@@ -139,10 +139,13 @@ func MapCtx[T any](ctx context.Context, workers, n int, fn func(i int) (T, error
 // backpressures the pool instead of growing a buffer. StreamCtx does not
 // return until every worker goroutine has exited.
 func StreamCtx[T any](ctx context.Context, workers, window, n int, fn func(i int) (T, error), emit func(i int, v T, err error) error) error {
+	// A context that is already done emits nothing. Checked up front
+	// because once the pool runs, the consumer's select may see a ready
+	// result before the closed done channel.
+	if ctx.Err() != nil {
+		return context.Cause(ctx)
+	}
 	if n <= 0 {
-		if ctx.Err() != nil {
-			return context.Cause(ctx)
-		}
 		return nil
 	}
 	if workers <= 0 {

@@ -58,17 +58,24 @@ const (
 	flGFX     = 0.45
 )
 
+// minAR is the smallest application ratio TDPScenario accepts. A domain's
+// power-virus draw is PNom/AR, and the guardband currents that implies
+// overflow float64 for tiny ratios: results turn non-finite from about
+// AR 1e-49 and the models panic further down. The floor leaves forty
+// decades of margin.
+const minAR = 1e-9
+
 // TDPScenario builds the Fig 4-style evaluation scenario for a workload
 // type at the given TDP and application ratio. Nominal powers come from the
 // design tables; voltages come from the platform's V–f curves at the TDP's
-// design frequency.
+// design frequency. A NaN TDP or AR is out of range.
 func TDPScenario(plat *domain.Platform, tdp units.Watt, t Type, ar float64) (pdn.Scenario, error) {
-	if tdp < tdpAxis[0] || tdp > tdpAxis[len(tdpAxis)-1] {
+	if !(tdp >= tdpAxis[0] && tdp <= tdpAxis[len(tdpAxis)-1]) {
 		return pdn.Scenario{}, fmt.Errorf("workload: TDP %gW outside modeled range [%g, %g]",
 			tdp, tdpAxis[0], tdpAxis[len(tdpAxis)-1])
 	}
-	if !(ar > 0 && ar <= 1) {
-		return pdn.Scenario{}, fmt.Errorf("workload: AR %g outside (0,1]", ar)
+	if !(ar >= minAR && ar <= 1) {
+		return pdn.Scenario{}, fmt.Errorf("workload: AR %g outside [%g, 1]", ar, minAR)
 	}
 	s := pdn.NewScenario()
 	s.CState = domain.C0

@@ -66,6 +66,18 @@ func TestTDPScenarioBounds(t *testing.T) {
 	if _, err := TDPScenario(plat, 18, MultiThread, 0); err == nil {
 		t.Error("zero AR accepted")
 	}
+	if _, err := TDPScenario(plat, math.NaN(), MultiThread, 0.6); err == nil {
+		t.Error("NaN TDP accepted")
+	}
+	if _, err := TDPScenario(plat, 18, MultiThread, math.NaN()); err == nil {
+		t.Error("NaN AR accepted")
+	}
+	if _, err := TDPScenario(plat, 18, MultiThread, minAR/10); err == nil {
+		t.Error("AR below the floor accepted")
+	}
+	if _, err := TDPScenario(plat, 18, MultiThread, minAR); err != nil {
+		t.Errorf("AR at the floor rejected: %v", err)
+	}
 	if _, err := TDPScenario(plat, 18, BatteryLife, 0.5); err == nil {
 		t.Error("battery-life type accepted by TDPScenario")
 	}

@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
 # SLO measurement for the flexwattsd serving daemon: build the daemon
-# (with the race detector, so the measured build is the checked build),
-# boot it, drive it with cmd/loadgen in both buffered and streaming mode,
-# assert the service-level floor (non-zero throughput, zero 5xx at low
-# offered load), and merge the numbers into the BENCH_<pr>.json perf
-# record via cmd/benchjson. Run by `make slo` locally and by the CI
+# (without the race detector, so the numbers are the shipped binary's;
+# race coverage lives in `make race` and `make smoke`), boot it, drive it
+# with cmd/loadgen in both buffered and streaming mode, assert the
+# service-level floor (non-zero throughput, zero 5xx at low offered load),
+# and merge the numbers into the BENCH_*.json perf record via
+# cmd/benchjson. Run by `make slo` locally and by the CI
 # slo-smoke job.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -21,7 +22,7 @@ GRID_RPS="${SLO_GRID_RPS:-5}"
 # Client worker counts for the grid sweep: each count re-runs the full
 # batch-size sweep, so the perf record shows per-batch-size p99 + evals/s
 # both serially and with concurrent requests contending for the daemon's
-# pooled arenas and cache shards.
+# pooled arenas and worker pool.
 GRID_WORKERS="${SLO_GRID_WORKERS:-1 4}"
 # Optimizer search rate: each request is a 45-candidate design-space
 # search, far heavier than an evaluate batch, and the daemon admits only
@@ -30,8 +31,8 @@ OPT_RPS="${SLO_OPT_RPS:-2}"
 BENCH_LABEL="${BENCH_LABEL:-current}"
 TMP="$(mktemp -d)"
 
-echo "== building flexwattsd (-race) and loadgen"
-go build -race -o "$TMP/flexwattsd" ./cmd/flexwattsd
+echo "== building flexwattsd and loadgen"
+go build -o "$TMP/flexwattsd" ./cmd/flexwattsd
 go build -o "$TMP/loadgen" ./cmd/loadgen
 
 "$TMP/flexwattsd" -addr "127.0.0.1:${PORT}" &
