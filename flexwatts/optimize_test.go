@@ -4,6 +4,8 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"math"
+	"strings"
 	"testing"
 
 	"repro/flexwatts"
@@ -93,6 +95,28 @@ func TestOptimizeInvalidSpec(t *testing.T) {
 	for i, spec := range bad {
 		if _, err := c.Optimize(context.Background(), spec); !errors.Is(err, flexwatts.ErrInvalidSpec) {
 			t.Errorf("spec %d: err %v, want ErrInvalidSpec", i, err)
+		}
+	}
+}
+
+// TestOptimizeInvalidSpecDeterministic pins the library error for a spec
+// whose constraints are all non-finite (only the library can carry NaN;
+// JSON cannot): every call names the same constraint, max_cost.
+func TestOptimizeInvalidSpecDeterministic(t *testing.T) {
+	c, err := flexwatts.NewClient()
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := smallOptimizeSpec()
+	spec.MaxCost, spec.MaxArea = math.Inf(1), math.NaN()
+	spec.MaxBatteryPower, spec.MinPerformance = flexwatts.Watt(math.NaN()), math.Inf(-1)
+	_, want := c.Optimize(context.Background(), spec)
+	if !errors.Is(want, flexwatts.ErrInvalidSpec) || !strings.Contains(want.Error(), "max_cost") {
+		t.Fatalf("err = %v, want ErrInvalidSpec naming max_cost", want)
+	}
+	for i := 0; i < 100; i++ {
+		if _, err := c.Optimize(context.Background(), spec); err.Error() != want.Error() {
+			t.Fatalf("call %d: %q, want %q", i, err, want)
 		}
 	}
 }

@@ -389,12 +389,17 @@ func (s Spec) normalized() (Spec, error) {
 	if s.Chains > MaxChains {
 		s.Chains = MaxChains
 	}
-	for name, v := range map[string]float64{
-		"max_cost": s.MaxCost, "max_area": s.MaxArea,
-		"max_battery_power": s.MaxBatteryPower, "min_performance": s.MinPerformance,
+	// Field order, so a spec with several non-finite constraints always
+	// names the same one.
+	for _, c := range [...]struct {
+		name string
+		v    float64
+	}{
+		{"max_cost", s.MaxCost}, {"max_area", s.MaxArea},
+		{"max_battery_power", s.MaxBatteryPower}, {"min_performance", s.MinPerformance},
 	} {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return Spec{}, fmt.Errorf("%w: constraint %s must be finite", ErrInvalidSpec, name)
+		if math.IsNaN(c.v) || math.IsInf(c.v, 0) {
+			return Spec{}, fmt.Errorf("%w: constraint %s must be finite", ErrInvalidSpec, c.name)
 		}
 	}
 	return s, nil

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"math"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -323,6 +324,24 @@ func TestSpecValidation(t *testing.T) {
 				t.Fatalf("Run err = %v, want ErrInvalidSpec", err)
 			}
 		})
+	}
+}
+
+// TestSpecErrorDeterministic pins which constraint a spec with several
+// non-finite constraints is rejected for: the first in field order,
+// max_cost, on every call.
+func TestSpecErrorDeterministic(t *testing.T) {
+	spec := smallSpec()
+	spec.MaxCost, spec.MaxArea = math.NaN(), math.Inf(1)
+	spec.MaxBatteryPower, spec.MinPerformance = math.Inf(-1), math.NaN()
+	want := spec.Validate()
+	if !errors.Is(want, ErrInvalidSpec) || !strings.Contains(want.Error(), "max_cost") {
+		t.Fatalf("err = %v, want ErrInvalidSpec naming max_cost", want)
+	}
+	for i := 0; i < 100; i++ {
+		if err := spec.Validate(); err.Error() != want.Error() {
+			t.Fatalf("call %d: %q, want %q", i, err, want)
+		}
 	}
 }
 
