@@ -82,13 +82,16 @@ smoke:
 slo:
 	BENCH_JSON=$(BENCH_JSON) BENCH_LABEL=$(SLO_LABEL) bash scripts/slo_flexwattsd.sh
 
-# Short-budget fuzz runs over the untrusted input surfaces: the evaluate
-# request (decoded, then served) and the public Point → Result path. -fuzz
-# accepts one package at a time, so two sequential invocations.
+# Short-budget fuzz runs over the untrusted input surfaces, the evaluate
+# request (decoded, then served) and the public Point → Result path, plus
+# the §3.3 inversion against its reference bisection (same bits for any
+# TDP, workload type and budget). -fuzz accepts one package at a time, so
+# three sequential invocations.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzEvaluateRequest$$' -fuzztime $(FUZZTIME) ./internal/server
 	$(GO) test -run '^$$' -fuzz '^FuzzEvaluateBatch$$' -fuzztime $(FUZZTIME) ./flexwatts
+	$(GO) test -run '^$$' -fuzz '^FuzzFreqRatio$$' -fuzztime $(FUZZTIME) ./internal/perf
 
 lint:
 	$(GO) vet ./...

@@ -8,12 +8,14 @@
 package repro_test
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/domain"
 	"repro/internal/experiments"
 	"repro/internal/pdn"
+	"repro/internal/perf"
 	"repro/internal/sweep"
 	"repro/internal/workload"
 )
@@ -101,6 +103,19 @@ func TestControllerStepAllocFree(t *testing.T) {
 		ctrl.Step(10e-3, in)
 	}); avg != 0 {
 		t.Errorf("Controller.Step: %.1f allocs/op, want 0", avg)
+	}
+}
+
+// TestCurveRatioAllocFree pins the §3.3 inversion the optimizer runs for
+// every workload of every candidate at 0 allocs/op, on the verified-window
+// path and on the plain bisection a NaN budget takes.
+func TestCurveRatioAllocFree(t *testing.T) {
+	e := benchEnv(t)
+	c := perf.NewCurve(e.Platform, 18, workload.MultiThread)
+	for _, d := range []float64{0.5, -0.5, math.NaN()} {
+		if avg := testing.AllocsPerRun(200, func() { c.Ratio(d) }); avg != 0 {
+			t.Errorf("Curve.Ratio(%g): %.1f allocs/op, want 0", d, avg)
+		}
 	}
 }
 

@@ -509,14 +509,28 @@ func BenchmarkAblationOracle(b *testing.B) {
 	})
 }
 
-// BenchmarkPerfModel measures the power-frequency inversion.
+// BenchmarkPerfModel measures the §3.3 power-frequency inversion: oneshot
+// is FreqRatioForBudget (build the cluster's curve, invert it once), and
+// curve is Ratio on a prebuilt curve, the per-call cost the optimizer pays
+// for each workload of each candidate.
 func BenchmarkPerfModel(b *testing.B) {
 	e := benchEnv(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		perf.FreqRatioForBudget(e.Platform, 18, workload.MultiThread, 0.5)
-	}
+	b.Run("oneshot", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			ratioSink = perf.FreqRatioForBudget(e.Platform, 18, workload.MultiThread, 0.5)
+		}
+	})
+	b.Run("curve", func(b *testing.B) {
+		c := perf.NewCurve(e.Platform, 18, workload.MultiThread)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			ratioSink = c.Ratio(0.5)
+		}
+	})
 }
+
+// ratioSink keeps BenchmarkPerfModel's calls from being optimized away.
+var ratioSink float64
 
 // BenchmarkCostModel measures the BOM/area sizing path.
 func BenchmarkCostModel(b *testing.B) {

@@ -38,10 +38,10 @@ type Engine struct {
 }
 
 // search is one Run's immutable context: the normalized spec, the scoring
-// scenario grid layout, the baseline reference, and the cost tables.
+// scenario grid layout, the baseline reference, the power-frequency
+// curves, and the cost tables.
 type search struct {
 	e    *Engine
-	plat *domain.Platform
 	spec Spec
 	// scenarios is the per-candidate scoring grid: the SPEC CPU2006
 	// operating points at the spec's TDP first, then the battery-life
@@ -54,6 +54,9 @@ type search struct {
 	// basePIn is the base-parameter IVR baseline's input power per perf
 	// scenario — the savedIn reference of the §3.3 performance model.
 	basePIn []float64
+	// curves[i] is the §3.3 power-frequency curve of perf workload i's
+	// type at the spec's TDP; workloads of one type share one curve.
+	curves []*perf.Curve
 	// baseBOM/baseArea are cost.Normalized's per-kind tables at the TDP
 	// (normalized to base IVR); candidate scale premiums multiply them.
 	baseBOM, baseArea map[pdn.Kind]float64
@@ -100,8 +103,9 @@ func (e *Engine) Run(ctx context.Context, spec Spec, emit func(Event) error) (Re
 }
 
 // newSearch builds the per-run scoring context: the scenario grid, the
-// IVR baseline sweep (through the shared cache — these are base-parameter
-// evaluations), the cost tables, and the reference scores.
+// power-frequency curves, the IVR baseline sweep (through the shared cache
+// — these are base-parameter evaluations), the cost tables, and the
+// reference scores.
 func (e *Engine) newSearch(ctx context.Context, spec Spec) (*search, error) {
 	plat := e.Platform
 	if plat == nil {
@@ -109,7 +113,6 @@ func (e *Engine) newSearch(ctx context.Context, spec Spec) (*search, error) {
 	}
 	s := &search{
 		e:       e,
-		plat:    plat,
 		spec:    spec,
 		suite:   workload.SPECCPU2006(),
 		states:  batteryStates(),
@@ -125,6 +128,15 @@ func (e *Engine) newSearch(ctx context.Context, spec Spec) (*search, error) {
 	}
 	for _, st := range s.states {
 		s.scenarios = append(s.scenarios, workload.CStateScenario(plat, st))
+	}
+	byType := make(map[workload.Type]*perf.Curve)
+	s.curves = make([]*perf.Curve, len(s.suite.Workloads))
+	for i, w := range s.suite.Workloads {
+		if byType[w.Type] == nil {
+			c := perf.NewCurve(plat, spec.TDP, w.Type)
+			byType[w.Type] = &c
+		}
+		s.curves[i] = byType[w.Type]
 	}
 	var err error
 	s.baseBOM, s.baseArea, err = cost.Normalized(plat, spec.TDP)
@@ -223,7 +235,7 @@ func (s *search) scoresFrom(cfg Config, out []pdn.Result) (Scores, bool) {
 	for i, w := range s.suite.Workloads {
 		saved := s.basePIn[i] - out[i].PIn
 		delta := saved * out[i].ETEE
-		ratio := perf.FreqRatioForBudget(s.plat, s.spec.TDP, w.Type, delta)
+		ratio := s.curves[i].Ratio(delta)
 		perfSum += 1 + w.Scalability*(ratio-1)
 	}
 	perfScore := perfSum / float64(np)

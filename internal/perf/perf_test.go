@@ -58,14 +58,12 @@ func TestFreqRatioInverseProperty(t *testing.T) {
 	f := func(tdpRaw, dRaw float64) bool {
 		tdp := 4 + math.Mod(math.Abs(tdpRaw), 46)
 		delta := math.Mod(dRaw, 2) // +-2W
-		cluster := workload.PerfCluster(plat, tdp, workload.MultiThread)
+		c := NewCurve(plat, tdp, workload.MultiThread)
 		r := FreqRatioForBudget(plat, tdp, workload.MultiThread, delta)
-		if r <= minRatio(cluster)+1e-9 || r >= maxRatio(cluster)-1e-9 {
+		if r <= c.lo+1e-9 || r >= c.hi-1e-9 {
 			return true // clamped; nothing to invert
 		}
-		base := clusterCost(cluster, 1)
-		got := clusterCost(cluster, r)
-		return units.ApproxEqual(got, base+delta, 1e-6)
+		return units.ApproxEqual(c.cost(r), c.base+delta, 1e-6)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
@@ -81,10 +79,151 @@ func TestFreqRatioSigns(t *testing.T) {
 	}
 	// A huge budget clamps at the DVFS ceiling.
 	max := FreqRatioForBudget(plat, 18, workload.MultiThread, 1e6)
-	cluster := workload.PerfCluster(plat, 18, workload.MultiThread)
-	if math.Abs(max-maxRatio(cluster)) > 1e-9 {
-		t.Errorf("huge budget should clamp to %g, got %g", maxRatio(cluster), max)
+	if hi := NewCurve(plat, 18, workload.MultiThread).hi; math.Abs(max-hi) > 1e-9 {
+		t.Errorf("huge budget should clamp to %g, got %g", hi, max)
 	}
+}
+
+// referenceRatio is the §3.3 inversion as the model defines it, kept
+// verbatim as the oracle for Curve.Ratio: rebuild the cluster, then bisect
+// the clock ratio 48 times between the DVFS bounds, evaluating the cluster
+// power at every midpoint.
+func referenceRatio(plat *domain.Platform, tdp units.Watt, t workload.Type, deltaNom units.Watt) float64 {
+	cluster := workload.PerfCluster(plat, tdp, t)
+	base := referenceCost(cluster, 1)
+	target := base + deltaNom
+	if target <= 0 {
+		return referenceMinRatio(cluster)
+	}
+	lo, hi := referenceMinRatio(cluster), referenceMaxRatio(cluster)
+	if referenceCost(cluster, lo) >= target {
+		return lo
+	}
+	if referenceCost(cluster, hi) <= target {
+		return hi
+	}
+	for i := 0; i < 48; i++ {
+		mid := (lo + hi) / 2
+		if referenceCost(cluster, mid) <= target {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+func referenceCost(cluster []workload.ClusterMember, r float64) units.Watt {
+	var sum units.Watt
+	for _, m := range cluster {
+		f0 := m.F0
+		f1 := f0 * r
+		v0 := m.Curve.VoltageAt(f0)
+		v1 := m.Curve.VoltageAt(f1)
+		dyn := (1 - m.FL) * m.PNom * (v1 * v1 * f1) / (v0 * v0 * f0)
+		leak := m.FL * m.PNom * math.Pow(v1/v0, domain.LeakVoltageExp)
+		sum += dyn + leak
+	}
+	return sum
+}
+
+func referenceMinRatio(cluster []workload.ClusterMember) float64 {
+	return math.Max(0.25, 0.8e9/cluster[0].F0*0.25)
+}
+
+func referenceMaxRatio(cluster []workload.ClusterMember) float64 {
+	return cluster[0].FMax / cluster[0].F0
+}
+
+// exactnessDeltas returns the budgets TestCurveMatchesReference tries on
+// one curve: IEEE special values, a dense linear sweep of the realistic
+// ±2.4 W range, log-spaced magnitudes from 10⁻⁹ to 10 W of either sign,
+// and the budgets that put the target exactly on (and one ulp either
+// side of) zero, the DVFS-bound powers and interior cluster powers.
+func exactnessDeltas(c *Curve) []float64 {
+	d := []float64{
+		0, math.Copysign(0, -1), 1e-300, -1e-300, 5e-324, -5e-324, 1e-12, -1e-12,
+		1e308, -1e308, math.Inf(1), math.Inf(-1), math.NaN(),
+	}
+	for i := -120; i <= 120; i++ {
+		d = append(d, float64(i)*0.02)
+	}
+	for e := -9.0; e <= 1; e += 0.5 {
+		d = append(d, math.Pow(10, e), -math.Pow(10, e))
+	}
+	edges := []float64{-c.base, c.costLo - c.base, c.costHi - c.base}
+	for k := 1; k < 8; k++ {
+		r := c.lo + (c.hi-c.lo)*float64(k)/8
+		edges = append(edges, c.cost(r)-c.base)
+	}
+	for _, e := range edges {
+		d = append(d, e, math.Nextafter(e, math.Inf(-1)), math.Nextafter(e, math.Inf(1)))
+	}
+	return d
+}
+
+// TestCurveMatchesReference is the exactness contract: on a dense grid of
+// TDPs (4–50 W in 0.25 W steps), every workload type's cluster and every
+// budget of exactnessDeltas, Curve.Ratio and FreqRatioForBudget return
+// the reference bisection's bits.
+func TestCurveMatchesReference(t *testing.T) {
+	plat := testPlat()
+	for _, wt := range workload.Types() {
+		wt := wt
+		t.Run(wt.String(), func(t *testing.T) {
+			t.Parallel()
+			cases, mismatches := 0, 0
+			for tdp := 4.0; tdp <= 50; tdp += 0.25 {
+				c := NewCurve(plat, tdp, wt)
+				deltas := exactnessDeltas(&c)
+				if tdp == 4 && len(deltas) < 300 {
+					t.Fatalf("%d deltas per curve, want at least 300", len(deltas))
+				}
+				for _, d := range deltas {
+					cases++
+					want := referenceRatio(plat, tdp, wt, d)
+					got := c.Ratio(d)
+					if math.Float64bits(got) != math.Float64bits(want) {
+						if mismatches++; mismatches <= 5 {
+							t.Errorf("tdp %g delta %g: Ratio = %v, reference %v", tdp, d, got, want)
+						}
+					}
+					if tdp == 18 {
+						if one := FreqRatioForBudget(plat, tdp, wt, d); math.Float64bits(one) != math.Float64bits(want) {
+							t.Errorf("tdp %g delta %g: FreqRatioForBudget = %v, reference %v", tdp, d, one, want)
+						}
+					}
+				}
+			}
+			if mismatches > 0 {
+				t.Errorf("%d of %d cases differ from the reference", mismatches, cases)
+			}
+		})
+	}
+}
+
+// FuzzFreqRatio checks Curve.Ratio against the reference bisection bit for
+// bit on any TDP (folded into the modeled 4–50 W axis), any workload type
+// and any budget.
+func FuzzFreqRatio(f *testing.F) {
+	for _, d := range []float64{0, 1e-300, -1e-300, 5e-324, 1e308, -1e308, math.Inf(1), math.Inf(-1), math.NaN()} {
+		for i, tdp := range []float64{4, 18, 50} {
+			f.Add(tdp, uint8(i), d)
+		}
+	}
+	plat := testPlat()
+	f.Fuzz(func(t *testing.T, tdpRaw float64, typ uint8, d float64) {
+		tdp := 4 + math.Mod(math.Abs(tdpRaw), 46)
+		if !(tdp >= 4 && tdp <= 50) {
+			tdp = 4
+		}
+		wt := workload.Type(typ % 4)
+		c := NewCurve(plat, tdp, wt)
+		got, want := c.Ratio(d), referenceRatio(plat, tdp, wt, d)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("tdp %v %v delta %v: Ratio = %v, reference %v", tdp, wt, d, got, want)
+		}
+	})
 }
 
 func testEvaluator(t *testing.T) (*Evaluator, []pdn.Model) {
