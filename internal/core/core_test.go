@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -220,6 +221,65 @@ func TestEvaluateModeErrors(t *testing.T) {
 	s, _ := workload.TDPScenario(plat, 18, workload.MultiThread, 0.6)
 	if _, err := m.EvaluateMode(s, Mode(9)); err == nil {
 		t.Error("unknown mode accepted")
+	}
+}
+
+// TestEvaluateGridModeErrors pins the batch error contract in both modes
+// (the invalid point's scalar error wrapped with its index, earlier points
+// written, an all-idle grid failing with ErrNoLoad, a short result block
+// rejected) and the order of the unknown-mode error: scenario validation,
+// or the result-block check, comes first.
+func TestEvaluateGridModeErrors(t *testing.T) {
+	m := NewModel(pdn.DefaultParams())
+	plat := domain.NewClientPlatform()
+	good, err := workload.TDPScenario(plat, 18, workload.MultiThread, 0.6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := good
+	bad.Loads[domain.Core0].AR = 1.5 // outside (0,1]
+	g := pdn.GridOf([]pdn.Scenario{good, bad, good})
+	empty := pdn.GridOf([]pdn.Scenario{pdn.NewScenario()})
+	shortErr := pdn.CheckGridOut(g, make([]pdn.Result, 1))
+
+	for _, mode := range Modes() {
+		out := make([]pdn.Result, g.Len())
+		err := m.EvaluateGridMode(g, out, mode)
+		_, wantErr := m.EvaluateMode(bad, mode)
+		if wantErr == nil {
+			t.Fatalf("%v: scalar EvaluateMode accepted the invalid point", mode)
+		}
+		if err == nil || err.Error() != pdn.GridPointError(1, wantErr).Error() {
+			t.Errorf("%v: grid error %v, want %v wrapped at point 1", mode, err, wantErr)
+		}
+		want, err := m.EvaluateMode(good, mode)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out[0] != want {
+			t.Errorf("%v: result for the point preceding the failure was not written", mode)
+		}
+		if err := m.EvaluateGridMode(empty, make([]pdn.Result, 1), mode); !errors.Is(err, pdn.ErrNoLoad) {
+			t.Errorf("%v: no-load grid error = %v, want wrapped ErrNoLoad", mode, err)
+		}
+		if err := m.EvaluateGridMode(g, make([]pdn.Result, 1), mode); err == nil || err.Error() != shortErr.Error() {
+			t.Errorf("%v: short result block error = %v, want %v", mode, err, shortErr)
+		}
+	}
+
+	const unknown = Mode(9)
+	const unknownErr = "core: unknown mode Mode(9)"
+	if _, err := m.EvaluateMode(good, unknown); err == nil || err.Error() != unknownErr {
+		t.Errorf("scalar unknown mode error = %v, want %q", err, unknownErr)
+	}
+	if _, err := m.EvaluateMode(pdn.NewScenario(), unknown); !errors.Is(err, pdn.ErrNoLoad) {
+		t.Errorf("scalar unknown mode on an invalid scenario = %v, want ErrNoLoad first", err)
+	}
+	if err := m.EvaluateGridMode(g, make([]pdn.Result, g.Len()), unknown); err == nil || err.Error() != unknownErr {
+		t.Errorf("grid unknown mode error = %v, want %q", err, unknownErr)
+	}
+	if err := m.EvaluateGridMode(g, make([]pdn.Result, 1), unknown); err == nil || err.Error() != shortErr.Error() {
+		t.Errorf("grid unknown mode with a short block = %v, want %v first", err, shortErr)
 	}
 }
 

@@ -198,76 +198,101 @@ func TestGridGatherCopies(t *testing.T) {
 	}
 }
 
+// gridModel is a PDN model with a batch kernel.
+type gridModel interface {
+	Model
+	EvaluateGrid(*Grid, []Result) error
+}
+
+// namedGridModel labels a kernel model for test output.
+type namedGridModel struct {
+	name string
+	m    gridModel
+}
+
+// gridTestModels returns every model with a batch kernel at p: the four
+// baselines.
+func gridTestModels(t *testing.T, p Params) []namedGridModel {
+	t.Helper()
+	var ms []namedGridModel
+	for _, k := range Kinds() {
+		m, err := New(k, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ge, ok := m.(gridModel)
+		if !ok {
+			t.Fatalf("%v model does not implement EvaluateGrid", k)
+		}
+		ms = append(ms, namedGridModel{k.String(), ge})
+	}
+	return ms
+}
+
 // TestEvaluateGridBitwise pins the grid kernels against the scalar models:
 // every Result field of every point must carry identical float64 bits.
 func TestEvaluateGridBitwise(t *testing.T) {
 	p := gridTestParams()
 	g := GridOf(gridTestScenarios())
 	out := make([]Result, g.Len())
-	for _, k := range Kinds() {
-		m, err := New(k, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ge, ok := m.(interface {
-			EvaluateGrid(*Grid, []Result) error
-		})
-		if !ok {
-			t.Fatalf("%v model does not implement EvaluateGrid", k)
-		}
-		if err := ge.EvaluateGrid(g, out); err != nil {
-			t.Fatalf("%v EvaluateGrid: %v", k, err)
+	for _, nm := range gridTestModels(t, p) {
+		if err := nm.m.EvaluateGrid(g, out); err != nil {
+			t.Fatalf("%s EvaluateGrid: %v", nm.name, err)
 		}
 		for i := 0; i < g.Len(); i++ {
-			want, err := m.Evaluate(g.At(i))
+			want, err := nm.m.Evaluate(g.At(i))
 			if err != nil {
-				t.Fatalf("%v scalar point %d: %v", k, i, err)
+				t.Fatalf("%s scalar point %d: %v", nm.name, i, err)
 			}
 			if out[i] != want {
-				t.Errorf("%v point %d: grid result differs from scalar\n grid:   %+v\n scalar: %+v", k, i, out[i], want)
+				t.Errorf("%s point %d: grid result differs from scalar\n grid:   %+v\n scalar: %+v", nm.name, i, out[i], want)
 			}
 		}
 	}
 }
 
-// TestEvaluateGridErrors pins the error contract: the first invalid point
-// stops the run with the scalar error wrapped by its index, preceding
-// results stay valid, and a short result block is rejected up front.
+// TestEvaluateGridErrors pins the error contract for every kernel: the
+// first invalid point stops the run with the scalar error wrapped by its
+// index, preceding results stay valid, an all-idle grid fails with
+// ErrNoLoad, and a short result block is rejected up front.
 func TestEvaluateGridErrors(t *testing.T) {
-	p := gridTestParams()
-	m := NewIVRModel(p)
 	good := gridTestScenarios()[0]
 	bad := good
 	bad.Loads[domain.Core0].AR = 1.5 // outside (0,1]
-
 	g := GridOf([]Scenario{good, bad, good})
-	out := make([]Result, g.Len())
-	err := m.EvaluateGrid(g, out)
-	if err == nil {
-		t.Fatal("EvaluateGrid accepted an invalid point")
-	}
-	_, wantErr := m.Evaluate(bad)
-	if wantErr == nil {
-		t.Fatal("scalar Evaluate accepted the invalid point")
-	}
-	if !strings.Contains(err.Error(), "grid point 1") || !strings.Contains(err.Error(), wantErr.Error()) {
-		t.Errorf("grid error %q does not wrap scalar error %q at index 1", err, wantErr)
-	}
-	want, err2 := m.Evaluate(good)
-	if err2 != nil {
-		t.Fatal(err2)
-	}
-	if out[0] != want {
-		t.Error("result for the point preceding the failure was not written")
-	}
-
 	empty := GridOf([]Scenario{NewScenario()}) // no active load
-	if err := m.EvaluateGrid(empty, make([]Result, 1)); !errors.Is(err, ErrNoLoad) {
-		t.Errorf("no-load grid error = %v, want wrapped ErrNoLoad", err)
-	}
 
-	if err := m.EvaluateGrid(g, make([]Result, 1)); err == nil {
-		t.Error("EvaluateGrid accepted a result block shorter than the grid")
+	for _, nm := range gridTestModels(t, gridTestParams()) {
+		m := nm.m
+		t.Run(nm.name, func(t *testing.T) {
+			out := make([]Result, g.Len())
+			err := m.EvaluateGrid(g, out)
+			if err == nil {
+				t.Fatal("EvaluateGrid accepted an invalid point")
+			}
+			_, wantErr := m.Evaluate(bad)
+			if wantErr == nil {
+				t.Fatal("scalar Evaluate accepted the invalid point")
+			}
+			if want := GridPointError(1, wantErr).Error(); err.Error() != want {
+				t.Errorf("grid error %q, want %q", err, want)
+			}
+			want, err := m.Evaluate(good)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if out[0] != want {
+				t.Error("result for the point preceding the failure was not written")
+			}
+
+			if err := m.EvaluateGrid(empty, make([]Result, 1)); !errors.Is(err, ErrNoLoad) || !strings.Contains(err.Error(), "grid point 0") {
+				t.Errorf("no-load grid error = %v, want ErrNoLoad wrapped at point 0", err)
+			}
+
+			if err := m.EvaluateGrid(g, make([]Result, 1)); err == nil || err.Error() != CheckGridOut(g, make([]Result, 1)).Error() {
+				t.Errorf("short result block error = %v, want the result-block check", err)
+			}
+		})
 	}
 }
 
