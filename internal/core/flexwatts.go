@@ -18,16 +18,20 @@
 // The resource sharing costs a slightly higher input load-line in both
 // modes (Params.FlexSharePenalty), which is why FlexWatts trails the best
 // static PDN by under 1 % while beating the worst by 20 %+.
+//
+// Ideas 1 and 2 make each mode a split-rail PDN: IVR-Mode is the I+MBVR
+// topology and LDO-Mode the LDO PDN, each on the penalized V_IN load-line.
+// Their power flow, scalar and batch, lives in internal/pdn
+// (pdn.NewFlexWattsModes); this package holds the mode policy only: Model
+// dispatches to the selected mode, and the predictor, the switching flow,
+// AutoModel and the voltage-noise model decide and carry out the switch.
 package core
 
 import (
 	"fmt"
 	"sync/atomic"
 
-	"repro/internal/domain"
 	"repro/internal/pdn"
-	"repro/internal/units"
-	"repro/internal/vr"
 )
 
 // Mode is the hybrid PDN's operating mode (§6).
@@ -61,14 +65,11 @@ func (m Mode) String() string {
 // Model is the FlexWatts PDN. It implements pdn.Model; Evaluate uses the
 // currently configured mode, while EvaluateMode evaluates a specific one
 // (used by the predictor's offline table generation and by oracle
-// baselines). The zero mode is IVRMode.
+// baselines). The zero mode is IVRMode. Each mode's power flow is a
+// pdn.SplitRailModel from pdn.NewFlexWattsModes; Model only picks one.
 type Model struct {
-	params pdn.Params
-	ivr    *vr.Buck
-	ldo    *vr.LDO
-	vin    *vr.Buck
-	sa     *vr.Buck
-	io     *vr.Buck
+	ivrMode *pdn.SplitRailModel
+	ldoMode *pdn.SplitRailModel
 	// mode is atomic because sweep workers share one Model: AutoModel
 	// records the mode it evaluates, and concurrent evaluations must not
 	// race on the field (each evaluation passes its mode explicitly).
@@ -77,14 +78,9 @@ type Model struct {
 
 // NewModel constructs a FlexWatts PDN with the given PDNspot parameters.
 func NewModel(p pdn.Params) *Model {
-	return &Model{
-		params: p,
-		ivr:    vr.NewIVR("HybridIVR", p.IVRIccmax),
-		ldo:    vr.NewPlatformLDO("HybridLDO", p.IVRIccmax),
-		vin:    vr.NewVinVR(p.VINIccmax),
-		sa:     vr.NewSmallRailVR("V_SA", p.SAIccmax),
-		io:     vr.NewSmallRailVR("V_IO", p.IOIccmax),
-	}
+	m := &Model{}
+	m.ivrMode, m.ldoMode = pdn.NewFlexWattsModes(p)
+	return m
 }
 
 // Kind implements pdn.Model.
@@ -97,59 +93,55 @@ func (m *Model) Mode() Mode { return Mode(m.mode.Load()) }
 // modeled by SwitchFlow; SetMode only changes which mode Evaluate uses.
 func (m *Model) SetMode(mode Mode) { m.mode.Store(int32(mode)) }
 
+// modeModel returns the power flow of the given mode, or nil for an
+// unknown mode.
+func (m *Model) modeModel(mode Mode) *pdn.SplitRailModel {
+	switch mode {
+	case IVRMode:
+		return m.ivrMode
+	case LDOMode:
+		return m.ldoMode
+	}
+	return nil
+}
+
 // Evaluate implements pdn.Model using the current mode.
 func (m *Model) Evaluate(s pdn.Scenario) (pdn.Result, error) {
 	return m.EvaluateMode(s, m.Mode())
 }
 
 // EvaluateMode computes the end-to-end power flow with the hybrid VRs in
-// the given mode. In both modes the SA and IO domains ride their dedicated
-// board VRs; the compute domains go through the shared V_IN rail whose
-// load-line is the corresponding static PDN's times the sharing penalty.
+// the given mode. A scenario error takes precedence over an unknown mode.
 func (m *Model) EvaluateMode(s pdn.Scenario, mode Mode) (pdn.Result, error) {
-	if err := pdn.Validate(&s); err != nil {
-		return pdn.Result{}, err
-	}
-	p := m.params
-	compute := []pdn.Load{
-		s.Loads[domain.Core0], s.Loads[domain.Core1],
-		s.Loads[domain.LLC], s.Loads[domain.GFX],
-	}
-
-	var st pdn.StageOut
-	var vinLevel units.Volt
-	var rll units.Ohm
-	switch mode {
-	case IVRMode:
-		vinLevel = p.VINLevel
-		st = pdn.IVRStage(compute, m.ivr, p.TOBIVR, vinLevel, s.CState)
-		rll = p.IVRInLL * p.FlexSharePenalty
-	case LDOMode:
-		vinLevel, st = pdn.LDOStage(compute, m.ldo, p.TOBLDO)
-		rll = p.LDOInLL * p.FlexSharePenalty
-	default:
+	mm := m.modeModel(mode)
+	if mm == nil {
+		if err := pdn.Validate(&s); err != nil {
+			return pdn.Result{}, err
+		}
 		return pdn.Result{}, fmt.Errorf("core: unknown mode %v", mode)
 	}
+	return mm.Evaluate(s)
+}
 
-	var pin units.Watt
-	var bd pdn.Breakdown
-	var rails pdn.RailSet
-	if st.PIn > 0 {
-		rail := pdn.VinRail(m.vin, st, vinLevel, rll, s.PSU, s.CState, 1)
-		pin += rail.PIn
-		bd.Add(st.Breakdown)
-		bd.Add(rail.Breakdown)
-		rails.Append(rail.Rail)
+// EvaluateGrid evaluates every grid point into out[:g.Len()] using the
+// currently configured mode, bitwise identical to per-point Evaluate.
+func (m *Model) EvaluateGrid(g *pdn.Grid, out []pdn.Result) error {
+	return m.EvaluateGridMode(g, out, m.Mode())
+}
+
+// EvaluateGridMode evaluates every grid point in the given mode, bitwise
+// identical to per-point EvaluateMode, with pdn.SplitRailModel.EvaluateGrid's
+// error contract. A short result block takes precedence over an unknown
+// mode.
+func (m *Model) EvaluateGridMode(g *pdn.Grid, out []pdn.Result, mode Mode) error {
+	mm := m.modeModel(mode)
+	if mm == nil {
+		if err := pdn.CheckGridOut(g, out); err != nil {
+			return err
+		}
+		return fmt.Errorf("core: unknown mode %v", mode)
 	}
-	saOut := pdn.BoardRail(m.sa, []pdn.Load{s.Loads[domain.SA]}, p.TOBLDO, p.RPG, p.SALL, s.PSU, s.CState, false)
-	ioOut := pdn.BoardRail(m.io, []pdn.Load{s.Loads[domain.IO]}, p.TOBLDO, p.RPG, p.IOLL, s.PSU, s.CState, false)
-	pin += saOut.PIn + ioOut.PIn
-	bd.Add(saOut.Breakdown)
-	bd.Add(ioOut.Breakdown)
-	rails.Append(saOut.Rail)
-	rails.Append(ioOut.Rail)
-
-	return pdn.Finish(pdn.FlexWatts, s.TotalNominal(), pin, bd, rails, rll), nil
+	return mm.EvaluateGrid(g, out)
 }
 
 // BestMode evaluates both modes on the scenario and returns the one with

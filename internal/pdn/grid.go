@@ -10,18 +10,19 @@ import (
 )
 
 // This file implements the batch evaluation path: a struct-of-arrays
-// scenario Grid plus per-model EvaluateGrid methods that hoist per-kind
-// invariants out of the inner loop. The contract with the scalar path is
-// bitwise identity: for every point i, EvaluateGrid writes the exact
-// float64 bits Evaluate(g.At(i)) returns, and fails with the exact error
-// Evaluate would return (wrapped with the point index). That bound — ε = 0,
-// not an approximation tolerance — is what lets the grid path share the
-// memoizing sweep cache and keep the experiment goldens byte-identical. It
-// holds because every hoisted computation is either the same pure function
-// evaluated once and replayed (stage memos, compiled vr.BuckOp constants
-// that are prefixes of the scalar left-associative expressions), or the
-// very same code path (loadline, validation, Finish) reading the same
-// values from columnar instead of struct storage.
+// scenario Grid plus one EvaluateGrid kernel per model type (IVR, MBVR and
+// the split-rail model, which also runs FlexWatts' two modes) that hoists
+// per-model invariants out of the inner loop. The contract with the scalar
+// path is bitwise identity: for every point i, EvaluateGrid writes the
+// exact float64 bits Evaluate(g.At(i)) returns, and fails with the exact
+// error Evaluate would return (wrapped with the point index). That bound —
+// ε = 0, not an approximation tolerance — is what lets the grid path share
+// the memoizing sweep cache and keep the experiment goldens byte-identical.
+// It holds because every hoisted computation is either the same pure
+// function evaluated once and replayed (stage memos, compiled vr.BuckOp
+// constants that are prefixes of the scalar left-associative expressions),
+// or the very same code path (loadline, validation, finishResult) reading
+// the same values from columnar instead of struct storage.
 //
 // Three invariant classes are hoisted:
 //
@@ -30,12 +31,12 @@ import (
 //     VRs have a fixed input rail) or once per distinct PSU voltage
 //     (off-chip VRs), replacing the per-point BuckParams copy and branch
 //     tree that dominate the scalar profile;
-//   - stage-output memos: the guardband+VR work of IVRStage/LDOStage
+//   - stage-output memos: the guardband+VR work of ivrStage/ldoStage
 //     depends on (PNom, VNom, FL) per domain — the application ratio AR
 //     enters only the peak-power accumulator — so across grid runs where
 //     only AR varies (load-generator batches, AR sweeps) the stage replays
 //     stored per-domain outputs and recomputes just the peak sum;
-//   - whole-rail memos: a BoardRail whose loads, package state and PSU
+//   - whole-rail memos: a boardRail whose loads, package state and PSU
 //     repeat (the SA/IO rails, whose power is constant across TDP grids)
 //     returns its stored output wholesale.
 //
@@ -127,57 +128,6 @@ func (g *Grid) At(i int) Scenario {
 	return s
 }
 
-// CStateAt returns the package power state of point i.
-func (g *Grid) CStateAt(i int) domain.CState { return g.cstate[i] }
-
-// PSUAt returns the supply voltage of point i.
-func (g *Grid) PSUAt(i int) units.Volt { return g.psu[i] }
-
-// TotalNominal returns ΣPNOM of point i, in Scenario.TotalNominal's
-// accumulation order (ascending domain kind) so the sum carries identical
-// float64 bits.
-func (g *Grid) TotalNominal(i int) units.Watt {
-	var sum units.Watt
-	for k := domain.Kind(0); k < domain.NumKinds; k++ {
-		sum += g.pnom[k][i]
-	}
-	return sum
-}
-
-// Validate checks point i against the scalar Validate invariants, reading
-// the columns in place. It mirrors Validate(&s) check for check — same
-// order, same predicates, same error values — which the grid error tests
-// pin, so EvaluateGrid rejects a point with exactly the scalar error.
-func (g *Grid) Validate(i int) error {
-	if psu := g.psu[i]; psu <= 0 {
-		return fmt.Errorf("pdn: PSU voltage must be positive, got %g", psu)
-	}
-	active := false
-	for k := domain.Kind(0); k < domain.NumKinds; k++ {
-		pnom := g.pnom[k][i]
-		if pnom < 0 {
-			return fmt.Errorf("pdn: %v has negative power %g", domain.Kind(k), pnom)
-		}
-		if !(pnom > 0) {
-			continue
-		}
-		active = true
-		if vnom := g.vnom[k][i]; vnom <= 0 {
-			return fmt.Errorf("pdn: %v active with non-positive voltage %g", domain.Kind(k), vnom)
-		}
-		if ar := g.ar[k][i]; !(ar > 0 && ar <= 1) {
-			return fmt.Errorf("pdn: %v has AR %g outside (0,1]", domain.Kind(k), ar)
-		}
-		if fl := g.fl[k][i]; !(fl >= 0 && fl <= 1) {
-			return fmt.Errorf("pdn: %v has FL %g outside [0,1]", domain.Kind(k), fl)
-		}
-	}
-	if !active {
-		return ErrNoLoad
-	}
-	return nil
-}
-
 // Change masks: the kernel loops detect point-to-point repetition with one
 // column-major prepass per block instead of scattered per-runner key
 // compares. ChangeMasks writes, for each point, a bitmask of which fields
@@ -199,10 +149,10 @@ const (
 	gridMaskAllAR   = gridMaskAllFree << gridMaskARShift
 )
 
-// GridMaskBlock is the number of points a kernel prepasses at a time; the
+// gridMaskBlock is the number of points a kernel prepasses at a time; the
 // mask buffer is a stack array of this size, keeping EvaluateGrid
 // allocation-free for grids of any length.
-const GridMaskBlock = 1024
+const gridMaskBlock = 1024
 
 // kindsMask returns the AR-free change bits for a runner's load set,
 // optionally with the matching AR bits.
@@ -258,27 +208,31 @@ func (g *Grid) ChangeMasks(lo int, masks []uint16) {
 	}
 }
 
-// GridPointRun memoizes the per-point validation and nominal-power sums of
-// a kernel loop. The checks and sums of Validate depend only on the AR-free
-// load fields plus the per-load AR range test, so across grid points where
-// only AR varies (the mask says every AR-free column repeats) the runner
-// re-checks just the changed ARs and replays the stored totals. The hit
-// path is sound because every skipped predicate ran on bit-identical inputs
-// when the memo was stored: same bits, same verdict, and the first failure
-// the scalar would report — all non-AR checks passing — is necessarily the
-// first failing changed AR in domain order, which the hit path reports
-// identically. Not safe for concurrent use.
-type GridPointRun struct {
-	valid    bool
+// gridPointRun memoizes the per-point validation and nominal-power sums of
+// a kernel loop. validate mirrors the scalar Validate check for check —
+// same order, same predicates, same error values, which the grid error
+// tests pin — reading the columns in place. The checks and sums depend
+// only on the AR-free load fields plus the per-load AR range test, so
+// across grid points where only AR varies (the mask says every AR-free
+// column repeats) the runner re-checks just the changed ARs and replays
+// the stored totals. The hit path is sound because every skipped predicate
+// ran on bit-identical inputs when the memo was stored: same bits, same
+// verdict, and the first failure the scalar would report — all non-AR
+// checks passing — is necessarily the first failing changed AR in domain
+// order, which the hit path reports identically. Not safe for concurrent
+// use.
+type gridPointRun struct {
+	valid bool
+	// total is ΣPNOM of the last successfully validated point, in
+	// Scenario.TotalNominal's accumulation order; computeP is its
+	// compute-domain subtotal, in the IVR model's accumulation order.
 	total    units.Watt
 	computeP units.Watt
 }
 
-// Validate checks point i exactly as Grid.Validate (and therefore the
-// scalar Validate) does, taking point i's change mask from ChangeMasks; on
-// success it memoizes ΣPNOM and the compute subtotal for
-// TotalNominal/ComputeNominal.
-func (r *GridPointRun) Validate(g *Grid, i int, m uint16) error {
+// validate checks point i, taking its change mask from ChangeMasks; on
+// success it memoizes the point's total and compute subtotal.
+func (r *gridPointRun) validate(g *Grid, i int, m uint16) error {
 	if psu := g.psu[i]; psu <= 0 {
 		return fmt.Errorf("pdn: PSU voltage must be positive, got %g", psu)
 	}
@@ -332,14 +286,6 @@ func (r *GridPointRun) Validate(g *Grid, i int, m uint16) error {
 	r.valid = true
 	return nil
 }
-
-// TotalNominal returns ΣPNOM of the last successfully validated point, in
-// Scenario.TotalNominal's accumulation order.
-func (r *GridPointRun) TotalNominal() units.Watt { return r.total }
-
-// ComputeNominal returns the compute-domain subtotal of the last
-// successfully validated point, in the scalar models' accumulation order.
-func (r *GridPointRun) ComputeNominal() units.Watt { return r.computeP }
 
 // Reset truncates the grid to zero points, keeping capacity — the
 // building block for reusing one scratch grid across cache-miss blocks.
@@ -425,11 +371,11 @@ var (
 	gridIOKinds      = []domain.Kind{domain.IO}
 )
 
-// IVRStageRun evaluates IVRStage over grid points with the IVR compiled at
+// ivrStageRun evaluates ivrStage over grid points with the IVR compiled at
 // the fixed input rail and a previous-point stage memo keyed by the change
 // masks. Construct one per EvaluateGrid call (it is cheap, stack-sized
 // state); it is not safe for concurrent use.
-type IVRStageRun struct {
+type ivrStageRun struct {
 	states vr.BuckStates
 	tob    units.Volt
 	kinds  []domain.Kind
@@ -439,12 +385,12 @@ type IVRStageRun struct {
 	nact  int
 	act   [domain.NumKinds]domain.Kind // active kinds of the memoized point, in eval order
 	pd    [domain.NumKinds]units.Watt
-	out   StageOut // PIn + Breakdown of the memoized point; AR unset
+	out   stageOut // PIn + Breakdown of the memoized point; AR unset
 }
 
-// NewIVRStageRun compiles ivr at the vin rail for all power states.
-func NewIVRStageRun(ivr *vr.Buck, kinds []domain.Kind, tob, vin units.Volt) IVRStageRun {
-	return IVRStageRun{
+// newIVRStageRun compiles ivr at the vin rail for all power states.
+func newIVRStageRun(ivr *vr.Buck, kinds []domain.Kind, tob, vin units.Volt) ivrStageRun {
+	return ivrStageRun{
 		states: ivr.CompileStates(vin),
 		tob:    tob,
 		kinds:  kinds,
@@ -452,11 +398,11 @@ func NewIVRStageRun(ivr *vr.Buck, kinds []domain.Kind, tob, vin units.Volt) IVRS
 	}
 }
 
-// EvalInto writes exactly IVRStage(loads, ivr, tob, vin, cstate) for point i
+// evalInto writes exactly ivrStage(loads, ivr, tob, vin, cstate) for point i
 // of the grid into *dst, over the runner's load set; m is point i's change
-// mask. The out-parameter form spares the kernel loop a StageOut copy per
+// mask. The out-parameter form spares the kernel loop a stageOut copy per
 // point.
-func (r *IVRStageRun) EvalInto(dst *StageOut, g *Grid, i int, m uint16) {
+func (r *ivrStageRun) evalInto(dst *stageOut, g *Grid, i int, m uint16) {
 	if r.valid && m&r.need == r.need {
 		// Only AR changed: the stored per-domain outputs are bit-identical,
 		// so replay them and recompute the peak sum with the current ARs in
@@ -473,7 +419,7 @@ func (r *IVRStageRun) EvalInto(dst *StageOut, g *Grid, i int, m uint16) {
 		}
 		return
 	}
-	var out StageOut
+	var out stageOut
 	var ppeak units.Watt
 	cstate := g.cstate[i]
 	r.nact = 0
@@ -504,11 +450,11 @@ func (r *IVRStageRun) EvalInto(dst *StageOut, g *Grid, i int, m uint16) {
 	*dst = out
 }
 
-// LDOStageRun evaluates LDOStage over grid points with a previous-point
+// ldoStageRun evaluates ldoStage over grid points with a previous-point
 // stage memo keyed by the change masks (the LDO efficiency is state-free,
 // so the memo needs the AR-free load bits alone). Not safe for concurrent
 // use.
-type LDOStageRun struct {
+type ldoStageRun struct {
 	ldo   *vr.LDO
 	tob   units.Volt
 	kinds []domain.Kind
@@ -519,18 +465,18 @@ type LDOStageRun struct {
 	act   [domain.NumKinds]domain.Kind
 	pd    [domain.NumKinds]units.Watt
 	vin   units.Volt
-	out   StageOut
+	out   stageOut
 }
 
-// NewLDOStageRun returns a runner for the given compute load set.
-func NewLDOStageRun(ldo *vr.LDO, kinds []domain.Kind, tob units.Volt) LDOStageRun {
-	return LDOStageRun{ldo: ldo, tob: tob, kinds: kinds, need: kindsMask(kinds, false)}
+// newLDOStageRun returns a runner for the given compute load set.
+func newLDOStageRun(ldo *vr.LDO, kinds []domain.Kind, tob units.Volt) ldoStageRun {
+	return ldoStageRun{ldo: ldo, tob: tob, kinds: kinds, need: kindsMask(kinds, false)}
 }
 
-// EvalInto writes exactly LDOStage(loads, ldo, tob) for point i of the grid
+// evalInto writes exactly ldoStage(loads, ldo, tob) for point i of the grid
 // into *dst, over the runner's load set, returning the stage input voltage;
 // m is point i's change mask.
-func (r *LDOStageRun) EvalInto(dst *StageOut, g *Grid, i int, m uint16) units.Volt {
+func (r *ldoStageRun) evalInto(dst *stageOut, g *Grid, i int, m uint16) units.Volt {
 	if r.valid && m&r.need == r.need {
 		*dst = r.out
 		if r.vin == 0 {
@@ -554,13 +500,13 @@ func (r *LDOStageRun) EvalInto(dst *StageOut, g *Grid, i int, m uint16) units.Vo
 	r.nact = 0
 	if vin == 0 {
 		r.vin = 0
-		r.out = StageOut{}
-		*dst = StageOut{}
+		r.out = stageOut{}
+		*dst = stageOut{}
 		dst.AR = 1
 		return 0
 	}
 	vin += r.tob
-	var out StageOut
+	var out stageOut
 	var ppeak units.Watt
 	for _, k := range r.kinds {
 		pnom, vnom, fl := g.pnom[k][i], g.vnom[k][i], g.fl[k][i]
@@ -585,23 +531,18 @@ func (r *LDOStageRun) EvalInto(dst *StageOut, g *Grid, i int, m uint16) units.Vo
 	return vin
 }
 
-// VinRailRun evaluates VinRail over grid points with the off-chip VR
-// compiled per distinct PSU voltage. Not safe for concurrent use.
-type VinRailRun struct {
+// offChipRun runs one off-chip VR over grid points with its operating
+// points compiled per distinct PSU voltage. Not safe for concurrent use.
+type offChipRun struct {
 	b      *vr.Buck
 	psu    units.Volt
 	states vr.BuckStates
 	ready  bool
 }
 
-// NewVinRailRun returns a runner for the given first-stage VR.
-func NewVinRailRun(b *vr.Buck) VinRailRun {
-	return VinRailRun{b: b}
-}
-
 // offChip mirrors offChipInput with the compiled operating points,
 // recompiling only when the PSU voltage changes between points.
-func (r *VinRailRun) offChip(psu, vout units.Volt, p units.Watt, c domain.CState) (pin, loss units.Watt) {
+func (r *offChipRun) offChip(psu, vout units.Volt, p units.Watt, c domain.CState) (pin, loss units.Watt) {
 	if p == 0 {
 		return 0, 0
 	}
@@ -616,9 +557,12 @@ func (r *VinRailRun) offChip(psu, vout units.Volt, p units.Watt, c domain.CState
 	return pin, pin - p
 }
 
-// AddFrom accumulates another breakdown through a pointer — the same
+// vinRailRun evaluates vinRail over grid points.
+type vinRailRun struct{ offChipRun }
+
+// addFrom accumulates another breakdown through a pointer — the same
 // field-wise additions as Add, without copying the 48-byte operand.
-func (b *Breakdown) AddFrom(o *Breakdown) {
+func (b *Breakdown) addFrom(o *Breakdown) {
 	b.Guardband += o.Guardband
 	b.PowerGate += o.PowerGate
 	b.OnChipVR += o.OnChipVR
@@ -627,13 +571,13 @@ func (b *Breakdown) AddFrom(o *Breakdown) {
 	b.CondUncore += o.CondUncore
 }
 
-// EvalInto accumulates exactly VinRail(b, st, vin, rll, psu, c,
+// evalInto accumulates exactly vinRail(b, st, vin, rll, psu, c,
 // computeShare) into the caller's breakdown and rail set, returning the
 // rail's PSU draw. Each breakdown field is one `+=` of the same term the
-// standalone RailOut form stored — the very additions Breakdown.Add would
+// standalone railOut form stored — the very additions Breakdown.Add would
 // perform — so accumulating in place carries identical float64 bits while
-// sparing the kernel loop a RailOut build, copy and Add per point.
-func (r *VinRailRun) EvalInto(st *StageOut, vin units.Volt, rll units.Ohm, psu units.Volt, c domain.CState, computeShare float64, bd *Breakdown, rails *RailSet) units.Watt {
+// sparing the kernel loop a railOut build, copy and Add per point.
+func (r *vinRailRun) evalInto(st *stageOut, vin units.Volt, rll units.Ohm, psu units.Volt, c domain.CState, computeShare float64, bd *Breakdown, rails *RailSet) units.Watt {
 	if st.PIn == 0 {
 		rails.Append(RailDraw{Name: r.b.Name(), VOut: vin})
 		return 0
@@ -652,7 +596,7 @@ func (r *VinRailRun) EvalInto(st *StageOut, vin units.Volt, rll units.Ohm, psu u
 	return pin
 }
 
-// BoardRailRun evaluates BoardRail over grid points with the off-chip VR
+// boardRailRun evaluates boardRail over grid points with the off-chip VR
 // compiled per distinct PSU voltage and two memo tiers keyed on the change
 // masks: a whole-rail memo — when the rail's loads (AR included), the
 // package state and the PSU all repeat (the SA/IO rails across a TDP or AR
@@ -661,8 +605,8 @@ func (r *VinRailRun) EvalInto(st *StageOut, vin units.Volt, rll units.Ohm, psu u
 // guardbanded powers (functions of PNom/VNom/FL only) across AR-innermost
 // sweeps, where every point invalidates the whole-rail tier but not the
 // guardband work. Not safe for concurrent use.
-type BoardRailRun struct {
-	b        *vr.Buck
+type boardRailRun struct {
+	offChipRun
 	kinds    []domain.Kind
 	tob      units.Volt
 	rpg      units.Ohm
@@ -670,10 +614,6 @@ type BoardRailRun struct {
 	compute  bool
 	need     uint16
 	freeNeed uint16
-
-	psu    units.Volt
-	states vr.BuckStates
-	ready  bool
 
 	// Free-field memo (see evalPoint): the rail voltage, the active load
 	// set in domain order, and per-load guardbanded power / guardband
@@ -687,36 +627,21 @@ type BoardRailRun struct {
 	flv    [domain.NumKinds]float64
 
 	valid bool
-	out   RailOut
+	out   railOut
 }
 
-// NewBoardRailRun returns a runner for one motherboard rail.
-func NewBoardRailRun(b *vr.Buck, kinds []domain.Kind, tob units.Volt, rpg, rll units.Ohm, compute bool) BoardRailRun {
-	return BoardRailRun{
-		b: b, kinds: kinds, tob: tob, rpg: rpg, rll: rll, compute: compute,
+// newBoardRailRun returns a runner for one motherboard rail.
+func newBoardRailRun(b *vr.Buck, kinds []domain.Kind, tob units.Volt, rpg, rll units.Ohm, compute bool) boardRailRun {
+	return boardRailRun{
+		offChipRun: offChipRun{b: b},
+		kinds:      kinds, tob: tob, rpg: rpg, rll: rll, compute: compute,
 		need:     kindsMask(kinds, true) | gridMaskCState | gridMaskPSU,
 		freeNeed: kindsMask(kinds, false),
 	}
 }
 
-// offChip mirrors offChipInput with the compiled operating points.
-func (r *BoardRailRun) offChip(psu, vout units.Volt, p units.Watt, c domain.CState) (pin, loss units.Watt) {
-	if p == 0 {
-		return 0, 0
-	}
-	if !r.ready || r.psu != psu {
-		r.states = r.b.CompileStates(psu)
-		r.psu = psu
-		r.ready = true
-	}
-	iout := p / vout
-	eta := r.states.Efficiency(VRStateFor(c, iout), vout, iout)
-	pin = p / eta
-	return pin, pin - p
-}
-
 // evalPoint computes the rail's full output for point i into r.out,
-// exactly as the scalar BoardRail does for r.kinds' loads. When the mask
+// exactly as the scalar boardRail does for r.kinds' loads. When the mask
 // says every load's AR-free columns repeat, the free-field memo replays
 // the rail voltage and per-load guardbanded powers instead of recomputing
 // them — those are pure functions of the unchanged PNom/VNom/FL bits, so
@@ -726,7 +651,7 @@ func (r *BoardRailRun) offChip(psu, vout units.Volt, p units.Watt, c domain.CSta
 // argument bits into the same pure function. Every accumulation below
 // (+= per field, per load, in domain order) is the scalar loop's own
 // sequence, so the result carries identical float64 bits.
-func (r *BoardRailRun) evalPoint(g *Grid, i int, m uint16) {
+func (r *boardRailRun) evalPoint(g *Grid, i int, m uint16) {
 	if !r.fvalid || m&r.freeNeed != r.freeNeed {
 		r.fvalid = false
 		var railV units.Volt
@@ -757,7 +682,7 @@ func (r *BoardRailRun) evalPoint(g *Grid, i int, m uint16) {
 		}
 		r.fvalid = true
 	}
-	var out RailOut
+	var out railOut
 	if r.railV == 0 {
 		out.Rail = RailDraw{Name: r.b.Name()}
 		r.valid = true
@@ -804,43 +729,29 @@ func (r *BoardRailRun) evalPoint(g *Grid, i int, m uint16) {
 	r.out = out
 }
 
-// EvalInto accumulates exactly BoardRail(b, loads, tob, rpg, rll, psu, c,
-// compute) for point i of the grid into the caller's breakdown and rail
-// set, returning the rail's PSU draw; m is point i's change mask. The
-// accumulation performs Breakdown.Add's field additions on the memoized
-// (or freshly computed) rail output, so the bits match the standalone
-// RailOut form exactly.
-func (r *BoardRailRun) EvalInto(g *Grid, i int, m uint16, bd *Breakdown, rails *RailSet) units.Watt {
-	if !r.valid || m&r.need != r.need {
-		r.evalPoint(g, i, m)
-	}
-	bd.AddFrom(&r.out.Breakdown)
-	rails.Append(r.out.Rail)
-	return r.out.PIn
-}
-
-// EvalBlock is EvalInto swept rail-major over points [base, base+blk):
-// each point's breakdown and rail draw accumulate into out[base+j] and
-// the rail's PSU draw adds into pins[j]. The per-point work and memo
-// tests are exactly EvalInto's — only the loop nesting differs, keeping
-// the rail's state hot across consecutive points — and rail order across
-// EvalBlock calls matches the scalar model's rail order per point, so
-// every accumulation sequence (and therefore every bit) is unchanged.
-func (r *BoardRailRun) EvalBlock(g *Grid, base, blk int, masks []uint16, out []Result, pins []units.Watt) {
+// evalBlock sweeps the rail over points [base, base+blk), rail-major:
+// each point's breakdown and rail draw accumulate into out[base+j] and the
+// rail's PSU draw adds into pins[j], with the rail's state held hot across
+// consecutive points. Each accumulation performs Breakdown.Add's field
+// additions on the memoized (or freshly computed) rail output, and rail
+// order across evalBlock calls matches the scalar model's rail order per
+// point, so every accumulation sequence (and therefore every bit) is the
+// scalar model's.
+func (r *boardRailRun) evalBlock(g *Grid, base, blk int, masks []uint16, out []Result, pins []units.Watt) {
 	for j := 0; j < blk; j++ {
 		if !r.valid || masks[j]&r.need != r.need {
 			r.evalPoint(g, base+j, masks[j])
 		}
 		res := &out[base+j]
-		res.Breakdown.AddFrom(&r.out.Breakdown)
+		res.Breakdown.addFrom(&r.out.Breakdown)
 		res.Rails.Append(r.out.Rail)
 		pins[j] += r.out.PIn
 	}
 }
 
 // CheckGridOut validates a caller-provided result block against a grid;
-// model EvaluateGrid implementations (here and in internal/core) call it
-// before evaluating.
+// every EvaluateGrid kernel, and the sweep engine's grid entry points, call
+// it before evaluating.
 func CheckGridOut(g *Grid, out []Result) error {
 	if len(out) < g.Len() {
 		return fmt.Errorf("pdn: result block has %d slots for %d grid points", len(out), g.Len())
@@ -864,45 +775,45 @@ func (m *IVRModel) EvaluateGrid(g *Grid, out []Result) error {
 		return err
 	}
 	p := m.params
-	stage := NewIVRStageRun(m.ivr, gridAllKinds, p.TOBIVR, p.VINLevel)
-	rail := NewVinRailRun(m.vin)
-	ClearResults(out[:g.Len()])
-	var pt GridPointRun
-	var st StageOut
-	var masks [GridMaskBlock]uint16
-	for base := 0; base < g.Len(); base += GridMaskBlock {
+	stage := newIVRStageRun(m.ivr, gridAllKinds, p.TOBIVR, p.VINLevel)
+	rail := vinRailRun{offChipRun{b: m.vin}}
+	clearResults(out[:g.Len()])
+	var pt gridPointRun
+	var st stageOut
+	var masks [gridMaskBlock]uint16
+	for base := 0; base < g.Len(); base += gridMaskBlock {
 		blk := g.Len() - base
-		if blk > GridMaskBlock {
-			blk = GridMaskBlock
+		if blk > gridMaskBlock {
+			blk = gridMaskBlock
 		}
 		g.ChangeMasks(base, masks[:blk])
 		for j := 0; j < blk; j++ {
 			i := base + j
 			mk := masks[j]
-			if err := pt.Validate(g, i, mk); err != nil {
+			if err := pt.validate(g, i, mk); err != nil {
 				return GridPointError(i, err)
 			}
-			total := pt.TotalNominal()
-			stage.EvalInto(&st, g, i, mk)
+			total := pt.total
+			stage.evalInto(&st, g, i, mk)
 			share := 1.0
 			if total > 0 {
-				share = pt.ComputeNominal() / total
+				share = pt.computeP / total
 			}
 			res := &out[i]
 			res.Breakdown = st.Breakdown
-			pin := rail.EvalInto(&st, p.VINLevel, p.IVRInLL, g.psu[i], g.cstate[i], share, &res.Breakdown, &res.Rails)
-			FinishGrid(res, IVR, total, pin, p.IVRInLL)
+			pin := rail.evalInto(&st, p.VINLevel, p.IVRInLL, g.psu[i], g.cstate[i], share, &res.Breakdown, &res.Rails)
+			finishResult(res, IVR, total, pin, p.IVRInLL)
 		}
 	}
 	return nil
 }
 
-// ClearResults zeroes a kernel's result block before evaluation. The
+// clearResults zeroes a kernel's result block before evaluation. The
 // runners then accumulate each point's Breakdown and Rails directly inside
 // out[i] — one streaming memclr up front replaces a per-point stack build
 // plus ~220-byte copy, and unused rail slots end up zero exactly as the
 // scalar path's zero-value RailSet leaves them.
-func ClearResults(out []Result) {
+func clearResults(out []Result) {
 	for i := range out {
 		out[i] = Result{}
 	}
@@ -911,7 +822,7 @@ func ClearResults(out []Result) {
 // EvaluateGrid evaluates every grid point into out[:g.Len()], bitwise
 // identical to calling Evaluate per point; see IVRModel.EvaluateGrid for
 // the error contract. The four board rails sweep the block rail-major —
-// one EvalBlock pass per rail with that rail's state held hot — instead
+// one evalBlock pass per rail with that rail's state held hot — instead
 // of cycling all four runners through every point. Per point the pin
 // additions, breakdown additions and rail appends still happen in the
 // scalar model's rail order (cores, gfx, sa, io), so the accumulation
@@ -921,19 +832,19 @@ func (m *MBVRModel) EvaluateGrid(g *Grid, out []Result) error {
 		return err
 	}
 	p := m.params
-	cores := NewBoardRailRun(m.cores, gridCoresKinds, p.TOBMBVR, p.RPG, p.CoresLL, true)
-	gfx := NewBoardRailRun(m.gfx, gridGfxKinds, p.TOBMBVR, p.RPG, p.GfxLL, true)
-	sa := NewBoardRailRun(m.sa, gridSAKinds, p.TOBMBVR, p.RPG, p.SALL, false)
-	io := NewBoardRailRun(m.io, gridIOKinds, p.TOBMBVR, p.RPG, p.IOLL, false)
-	ClearResults(out[:g.Len()])
-	var pt GridPointRun
-	var masks [GridMaskBlock]uint16
-	var pins [GridMaskBlock]units.Watt
-	var totals [GridMaskBlock]units.Watt
-	for base := 0; base < g.Len(); base += GridMaskBlock {
+	cores := newBoardRailRun(m.cores, gridCoresKinds, p.TOBMBVR, p.RPG, p.CoresLL, true)
+	gfx := newBoardRailRun(m.gfx, gridGfxKinds, p.TOBMBVR, p.RPG, p.GfxLL, true)
+	sa := newBoardRailRun(m.sa, gridSAKinds, p.TOBMBVR, p.RPG, p.SALL, false)
+	io := newBoardRailRun(m.io, gridIOKinds, p.TOBMBVR, p.RPG, p.IOLL, false)
+	clearResults(out[:g.Len()])
+	var pt gridPointRun
+	var masks [gridMaskBlock]uint16
+	var pins [gridMaskBlock]units.Watt
+	var totals [gridMaskBlock]units.Watt
+	for base := 0; base < g.Len(); base += gridMaskBlock {
 		blk := g.Len() - base
-		if blk > GridMaskBlock {
-			blk = GridMaskBlock
+		if blk > gridMaskBlock {
+			blk = gridMaskBlock
 		}
 		g.ChangeMasks(base, masks[:blk])
 		// Validate the block up front: rail-major evaluation finishes every
@@ -943,20 +854,20 @@ func (m *MBVRModel) EvaluateGrid(g *Grid, out []Result) error {
 		var verr error
 		vblk := blk
 		for j := 0; j < blk; j++ {
-			if err := pt.Validate(g, base+j, masks[j]); err != nil {
+			if err := pt.validate(g, base+j, masks[j]); err != nil {
 				verr = GridPointError(base+j, err)
 				vblk = j
 				break
 			}
-			totals[j] = pt.TotalNominal()
+			totals[j] = pt.total
 			pins[j] = 0
 		}
-		cores.EvalBlock(g, base, vblk, masks[:vblk], out, pins[:vblk])
-		gfx.EvalBlock(g, base, vblk, masks[:vblk], out, pins[:vblk])
-		sa.EvalBlock(g, base, vblk, masks[:vblk], out, pins[:vblk])
-		io.EvalBlock(g, base, vblk, masks[:vblk], out, pins[:vblk])
+		cores.evalBlock(g, base, vblk, masks[:vblk], out, pins[:vblk])
+		gfx.evalBlock(g, base, vblk, masks[:vblk], out, pins[:vblk])
+		sa.evalBlock(g, base, vblk, masks[:vblk], out, pins[:vblk])
+		io.evalBlock(g, base, vblk, masks[:vblk], out, pins[:vblk])
 		for j := 0; j < vblk; j++ {
-			FinishGrid(&out[base+j], MBVR, totals[j], pins[j], p.CoresLL)
+			finishResult(&out[base+j], MBVR, totals[j], pins[j], p.CoresLL)
 		}
 		if verr != nil {
 			return verr
@@ -967,77 +878,39 @@ func (m *MBVRModel) EvaluateGrid(g *Grid, out []Result) error {
 
 // EvaluateGrid evaluates every grid point into out[:g.Len()], bitwise
 // identical to calling Evaluate per point; see IVRModel.EvaluateGrid for
-// the error contract.
-func (m *LDOModel) EvaluateGrid(g *Grid, out []Result) error {
+// the error contract. The compute stage and V_IN rail run point-major (the
+// stage output feeds the rail immediately), then the two board rails sweep
+// the block rail-major as in MBVRModel.EvaluateGrid. The board draws
+// accumulate into their own per-point column first because the scalar form
+// is pin += saP + ioP — sa and io sum together before joining the V_IN
+// draw — and that grouping must be preserved for the final addition to
+// carry identical bits.
+func (m *SplitRailModel) EvaluateGrid(g *Grid, out []Result) error {
 	if err := CheckGridOut(g, out); err != nil {
 		return err
 	}
-	p := m.params
-	stage := NewLDOStageRun(m.ldo, gridComputeKinds, p.TOBLDO)
-	vinRail := NewVinRailRun(m.vin)
-	sa := NewBoardRailRun(m.sa, gridSAKinds, p.TOBLDO, p.RPG, p.SALL, false)
-	io := NewBoardRailRun(m.io, gridIOKinds, p.TOBLDO, p.RPG, p.IOLL, false)
-	ClearResults(out[:g.Len()])
-	var pt GridPointRun
-	var st StageOut
-	var masks [GridMaskBlock]uint16
-	for base := 0; base < g.Len(); base += GridMaskBlock {
-		blk := g.Len() - base
-		if blk > GridMaskBlock {
-			blk = GridMaskBlock
-		}
-		g.ChangeMasks(base, masks[:blk])
-		for j := 0; j < blk; j++ {
-			i := base + j
-			mk := masks[j]
-			if err := pt.Validate(g, i, mk); err != nil {
-				return GridPointError(i, err)
-			}
-			vinLevel := stage.EvalInto(&st, g, i, mk)
-			res := &out[i]
-			var pin units.Watt
-			if st.PIn > 0 {
-				res.Breakdown.AddFrom(&st.Breakdown)
-				pin += vinRail.EvalInto(&st, vinLevel, p.LDOInLL, g.psu[i], g.cstate[i], 1, &res.Breakdown, &res.Rails)
-			}
-			saP := sa.EvalInto(g, i, mk, &res.Breakdown, &res.Rails)
-			ioP := io.EvalInto(g, i, mk, &res.Breakdown, &res.Rails)
-			pin += saP + ioP
-			FinishGrid(res, LDO, pt.TotalNominal(), pin, p.LDOInLL)
-		}
+	p := &m.params
+	var ivrSt ivrStageRun
+	var ldoSt ldoStageRun
+	if m.ivr != nil {
+		ivrSt = newIVRStageRun(m.ivr, gridComputeKinds, p.TOBIVR, p.VINLevel)
+	} else {
+		ldoSt = newLDOStageRun(m.ldo, gridComputeKinds, p.TOBLDO)
 	}
-	return nil
-}
-
-// EvaluateGrid evaluates every grid point into out[:g.Len()], bitwise
-// identical to calling Evaluate per point; see IVRModel.EvaluateGrid for
-// the error contract. The IVR stage and V_IN rail run point-major (the
-// stage output feeds the rail immediately), then the two board rails
-// sweep the block rail-major as in MBVRModel.EvaluateGrid. The board
-// draws accumulate into their own per-point column first because the
-// scalar form is pin += saP + ioP — sa and io sum together before
-// joining the V_IN draw — and that grouping must be preserved for the
-// final addition to carry identical bits.
-func (m *IMBVRModel) EvaluateGrid(g *Grid, out []Result) error {
-	if err := CheckGridOut(g, out); err != nil {
-		return err
-	}
-	p := m.params
-	stage := NewIVRStageRun(m.ivr, gridComputeKinds, p.TOBIVR, p.VINLevel)
-	vinRail := NewVinRailRun(m.vin)
-	sa := NewBoardRailRun(m.sa, gridSAKinds, p.TOBMBVR, p.RPG, p.SALL, false)
-	io := NewBoardRailRun(m.io, gridIOKinds, p.TOBMBVR, p.RPG, p.IOLL, false)
-	ClearResults(out[:g.Len()])
-	var pt GridPointRun
-	var st StageOut
-	var masks [GridMaskBlock]uint16
-	var pins [GridMaskBlock]units.Watt
-	var board [GridMaskBlock]units.Watt
-	var totals [GridMaskBlock]units.Watt
-	for base := 0; base < g.Len(); base += GridMaskBlock {
+	rail := vinRailRun{offChipRun{b: m.vin}}
+	sa := newBoardRailRun(m.sa, gridSAKinds, m.boardTOB, p.RPG, p.SALL, false)
+	io := newBoardRailRun(m.io, gridIOKinds, m.boardTOB, p.RPG, p.IOLL, false)
+	clearResults(out[:g.Len()])
+	var pt gridPointRun
+	var st stageOut
+	var masks [gridMaskBlock]uint16
+	var pins [gridMaskBlock]units.Watt
+	var board [gridMaskBlock]units.Watt
+	var totals [gridMaskBlock]units.Watt
+	for base := 0; base < g.Len(); base += gridMaskBlock {
 		blk := g.Len() - base
-		if blk > GridMaskBlock {
-			blk = GridMaskBlock
+		if blk > gridMaskBlock {
+			blk = gridMaskBlock
 		}
 		g.ChangeMasks(base, masks[:blk])
 		var verr error
@@ -1045,25 +918,30 @@ func (m *IMBVRModel) EvaluateGrid(g *Grid, out []Result) error {
 		for j := 0; j < blk; j++ {
 			i := base + j
 			mk := masks[j]
-			if err := pt.Validate(g, i, mk); err != nil {
+			if err := pt.validate(g, i, mk); err != nil {
 				verr = GridPointError(i, err)
 				vblk = j
 				break
 			}
-			totals[j] = pt.TotalNominal()
-			stage.EvalInto(&st, g, i, mk)
+			totals[j] = pt.total
+			vinLevel := p.VINLevel
+			if m.ivr != nil {
+				ivrSt.evalInto(&st, g, i, mk)
+			} else {
+				vinLevel = ldoSt.evalInto(&st, g, i, mk)
+			}
 			res := &out[i]
 			pins[j] = 0
 			if st.PIn > 0 {
-				res.Breakdown.AddFrom(&st.Breakdown)
-				pins[j] = vinRail.EvalInto(&st, p.VINLevel, p.IVRInLL, g.psu[i], g.cstate[i], 1, &res.Breakdown, &res.Rails)
+				res.Breakdown.addFrom(&st.Breakdown)
+				pins[j] = rail.evalInto(&st, vinLevel, m.vinLL, g.psu[i], g.cstate[i], 1, &res.Breakdown, &res.Rails)
 			}
 			board[j] = 0
 		}
-		sa.EvalBlock(g, base, vblk, masks[:vblk], out, board[:vblk])
-		io.EvalBlock(g, base, vblk, masks[:vblk], out, board[:vblk])
+		sa.evalBlock(g, base, vblk, masks[:vblk], out, board[:vblk])
+		io.evalBlock(g, base, vblk, masks[:vblk], out, board[:vblk])
 		for j := 0; j < vblk; j++ {
-			FinishGrid(&out[base+j], IMBVR, totals[j], pins[j]+board[j], p.IVRInLL)
+			finishResult(&out[base+j], m.kind, totals[j], pins[j]+board[j], m.vinLL)
 		}
 		if verr != nil {
 			return verr

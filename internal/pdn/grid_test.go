@@ -211,7 +211,10 @@ type namedGridModel struct {
 }
 
 // gridTestModels returns every model with a batch kernel at p: the four
-// baselines.
+// baselines and FlexWatts' two modes. With gridTestParams (penalty 1.1,
+// TOBLDO ≠ TOBMBVR) the modes differ from I+MBVR and LDO in every
+// constructor-fixed setting, so a kernel that read a baseline's load-line
+// or tolerance band instead of its model's own would show.
 func gridTestModels(t *testing.T, p Params) []namedGridModel {
 	t.Helper()
 	var ms []namedGridModel
@@ -226,7 +229,8 @@ func gridTestModels(t *testing.T, p Params) []namedGridModel {
 		}
 		ms = append(ms, namedGridModel{k.String(), ge})
 	}
-	return ms
+	ivrMode, ldoMode := NewFlexWattsModes(p)
+	return append(ms, namedGridModel{"FlexWatts-IVR-Mode", ivrMode}, namedGridModel{"FlexWatts-LDO-Mode", ldoMode})
 }
 
 // TestEvaluateGridBitwise pins the grid kernels against the scalar models:

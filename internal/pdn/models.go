@@ -45,42 +45,23 @@ func Validate(s *Scenario) error {
 	return nil
 }
 
-// Finish assembles a Result from accumulated parts, computing ETEE and the
+// finish assembles a Result from accumulated parts, computing ETEE and the
 // total chip input current. pnom is the scenario's total nominal power
 // (Scenario.TotalNominal), which every model already has in hand.
-func Finish(kind Kind, pnom units.Watt, pin units.Watt, bd Breakdown, rails RailSet, railR units.Ohm) Result {
-	var r Result
-	FinishInto(&r, kind, pnom, pin, &bd, &rails, railR)
+func finish(kind Kind, pnom units.Watt, pin units.Watt, bd Breakdown, rails RailSet, railR units.Ohm) Result {
+	r := Result{Breakdown: bd, Rails: rails}
+	finishResult(&r, kind, pnom, pin, railR)
 	return r
 }
 
-// FinishInto is Finish writing the Result in place. The grid kernels use it
-// to fill their caller's result block directly: a Result is ~260 bytes
-// (mostly the rail set), and building it on the stack only to copy it into
-// out[i] is a measurable fraction of a batch point's budget. The arithmetic
-// is exactly Finish's, so the scalar wrapper above and the batch path
+// finishResult completes a Result whose Breakdown and Rails are already in
+// place: the scalar models through finish, and the grid kernels, which
+// accumulate each point's Breakdown and Rails directly inside their
+// caller's result block (a Result is ~260 bytes, mostly the rail set, and
+// building one on the stack only to copy it out is a measurable fraction
+// of a batch point's budget). Both paths run this arithmetic, so they
 // produce identical bits.
-func FinishInto(dst *Result, kind Kind, pnom units.Watt, pin units.Watt, bd *Breakdown, rails *RailSet, railR units.Ohm) {
-	var iin units.Amp
-	for i := 0; i < rails.n; i++ {
-		iin += rails.rails[i].Current
-	}
-	dst.PDN = kind
-	dst.PNomTotal = pnom
-	dst.PIn = pin
-	dst.ETEE = pnom / pin
-	dst.Breakdown = *bd
-	dst.ChipInputCurrent = iin
-	dst.ComputeRailR = railR
-	dst.Rails = *rails
-}
-
-// FinishGrid completes a Result whose Breakdown and Rails a grid kernel has
-// already accumulated in place (the kernels zero the result block up front
-// and let the runners write dst.Breakdown/dst.Rails directly, eliminating
-// the last per-point struct copies). The remaining assignments are exactly
-// Finish's, computed from the in-place rail set.
-func FinishGrid(dst *Result, kind Kind, pnom units.Watt, pin units.Watt, railR units.Ohm) {
+func finishResult(dst *Result, kind Kind, pnom units.Watt, pin units.Watt, railR units.Ohm) {
 	var iin units.Amp
 	for i := 0; i < dst.Rails.n; i++ {
 		iin += dst.Rails.rails[i].Current
@@ -126,17 +107,17 @@ func (m *IVRModel) Evaluate(s Scenario) (Result, error) {
 			computeP += s.Loads[k].PNom
 		}
 	}
-	st := IVRStage(s.Loads[:], m.ivr, p.TOBIVR, p.VINLevel, s.CState)
+	st := ivrStage(s.Loads[:], m.ivr, p.TOBIVR, p.VINLevel, s.CState)
 	share := 1.0
 	if total > 0 {
 		share = computeP / total
 	}
-	rail := VinRail(m.vin, st, p.VINLevel, p.IVRInLL, s.PSU, s.CState, share)
+	rail := vinRail(m.vin, st, p.VINLevel, p.IVRInLL, s.PSU, s.CState, share)
 	bd := st.Breakdown
 	bd.Add(rail.Breakdown)
 	var rails RailSet
 	rails.Append(rail.Rail)
-	return Finish(IVR, total, rail.PIn, bd, rails, p.IVRInLL), nil
+	return finish(IVR, total, rail.PIn, bd, rails, p.IVRInLL), nil
 }
 
 // MBVRModel is the motherboard-VR PDN (Fig 1(b)): four one-stage board VRs
@@ -176,128 +157,129 @@ func (m *MBVRModel) Evaluate(s Scenario) (Result, error) {
 	var pin units.Watt
 	var bd Breakdown
 	var rails RailSet
-	coresOut := BoardRail(m.cores, []Load{s.Loads[domain.Core0], s.Loads[domain.Core1]}, p.TOBMBVR, p.RPG, p.CoresLL, s.PSU, s.CState, true)
-	gfxOut := BoardRail(m.gfx, []Load{s.Loads[domain.GFX], s.Loads[domain.LLC]}, p.TOBMBVR, p.RPG, p.GfxLL, s.PSU, s.CState, true)
-	saOut := BoardRail(m.sa, []Load{s.Loads[domain.SA]}, p.TOBMBVR, p.RPG, p.SALL, s.PSU, s.CState, false)
-	ioOut := BoardRail(m.io, []Load{s.Loads[domain.IO]}, p.TOBMBVR, p.RPG, p.IOLL, s.PSU, s.CState, false)
-	for _, out := range []RailOut{coresOut, gfxOut, saOut, ioOut} {
+	coresOut := boardRail(m.cores, []Load{s.Loads[domain.Core0], s.Loads[domain.Core1]}, p.TOBMBVR, p.RPG, p.CoresLL, s.PSU, s.CState, true)
+	gfxOut := boardRail(m.gfx, []Load{s.Loads[domain.GFX], s.Loads[domain.LLC]}, p.TOBMBVR, p.RPG, p.GfxLL, s.PSU, s.CState, true)
+	saOut := boardRail(m.sa, []Load{s.Loads[domain.SA]}, p.TOBMBVR, p.RPG, p.SALL, s.PSU, s.CState, false)
+	ioOut := boardRail(m.io, []Load{s.Loads[domain.IO]}, p.TOBMBVR, p.RPG, p.IOLL, s.PSU, s.CState, false)
+	for _, out := range []railOut{coresOut, gfxOut, saOut, ioOut} {
 		pin += out.PIn
 		bd.Add(out.Breakdown)
 		rails.Append(out.Rail)
 	}
-	return Finish(MBVR, s.TotalNominal(), pin, bd, rails, p.CoresLL), nil
+	return finish(MBVR, s.TotalNominal(), pin, bd, rails, p.CoresLL), nil
 }
 
-// LDOModel is the LDO PDN (Fig 1(c), AMD Zen style): compute domains behind
-// on-chip LDOs fed from a shared V_IN VR set to the maximum compute voltage;
-// SA and IO on dedicated one-stage board VRs with power gates.
-type LDOModel struct {
+// SplitRailModel is the split-rail PDN: the compute domains (cores, LLC,
+// GFX) sit behind on-chip regulators fed from one shared V_IN rail, while
+// SA and IO ride dedicated one-stage board VRs with power gates. One
+// topology serves four PDNs, which differ only in the on-chip stage, the
+// V_IN load-line, the SA/IO tolerance band and the reported kind:
+//
+//   - LDO (Fig 1(c), AMD Zen style): LDOs regulating down from a V_IN rail
+//     at the maximum compute voltage (NewLDOModel);
+//   - I+MBVR (§7, Skylake-X style): IVRs on the 1.8 V V_IN rail, as in the
+//     IVR PDN, with SA/IO at the MBVR tolerance band (NewIMBVRModel);
+//   - FlexWatts' IVR-Mode and LDO-Mode (§6): the same two flows with the
+//     V_IN load-line scaled by the hybrid's sharing penalty and SA/IO at
+//     the LDO tolerance band (NewFlexWattsModes).
+type SplitRailModel struct {
 	params Params
+	kind   Kind
+	ivr    *vr.Buck // the on-chip stage when non-nil; otherwise ldo
 	ldo    *vr.LDO
 	vin    *vr.Buck
 	sa     *vr.Buck
 	io     *vr.Buck
+	// vinLL is the V_IN load-line, also reported as ComputeRailR.
+	vinLL units.Ohm
+	// boardTOB is the SA/IO rails' tolerance band.
+	boardTOB units.Volt
+}
+
+// newSplitRail constructs a split-rail PDN with an IVR stage (withIVR) or
+// an LDO stage.
+func newSplitRail(p Params, kind Kind, withIVR bool, vinLL units.Ohm, boardTOB units.Volt) *SplitRailModel {
+	m := &SplitRailModel{
+		params:   p,
+		kind:     kind,
+		vin:      vr.NewVinVR(p.VINIccmax),
+		sa:       vr.NewSmallRailVR("V_SA", p.SAIccmax),
+		io:       vr.NewSmallRailVR("V_IO", p.IOIccmax),
+		vinLL:    vinLL,
+		boardTOB: boardTOB,
+	}
+	if withIVR {
+		m.ivr = vr.NewIVR("IVR", p.IVRIccmax)
+	} else {
+		m.ldo = vr.NewPlatformLDO("LDO", p.IVRIccmax)
+	}
+	return m
 }
 
 // NewLDOModel constructs the LDO PDN.
-func NewLDOModel(p Params) *LDOModel {
-	return &LDOModel{
-		params: p,
-		ldo:    vr.NewPlatformLDO("LDO", p.IVRIccmax),
-		vin:    vr.NewVinVR(p.VINIccmax),
-		sa:     vr.NewSmallRailVR("V_SA", p.SAIccmax),
-		io:     vr.NewSmallRailVR("V_IO", p.IOIccmax),
-	}
-}
-
-// Kind implements Model.
-func (m *LDOModel) Kind() Kind { return LDO }
-
-// Evaluate implements Model, following Eq. 2, 10, 11, 7, 8, 12.
-func (m *LDOModel) Evaluate(s Scenario) (Result, error) {
-	if err := Validate(&s); err != nil {
-		return Result{}, err
-	}
-	p := m.params
-	compute := []Load{s.Loads[domain.Core0], s.Loads[domain.Core1], s.Loads[domain.LLC], s.Loads[domain.GFX]}
-	vinLevel, st := LDOStage(compute, m.ldo, p.TOBLDO)
-
-	var pin units.Watt
-	var bd Breakdown
-	var rails RailSet
-	if st.PIn > 0 {
-		rail := VinRail(m.vin, st, vinLevel, p.LDOInLL, s.PSU, s.CState, 1)
-		pin += rail.PIn
-		bd.Add(st.Breakdown)
-		bd.Add(rail.Breakdown)
-		rails.Append(rail.Rail)
-	}
-	saOut := BoardRail(m.sa, []Load{s.Loads[domain.SA]}, p.TOBLDO, p.RPG, p.SALL, s.PSU, s.CState, false)
-	ioOut := BoardRail(m.io, []Load{s.Loads[domain.IO]}, p.TOBLDO, p.RPG, p.IOLL, s.PSU, s.CState, false)
-	pin += saOut.PIn + ioOut.PIn
-	bd.Add(saOut.Breakdown)
-	bd.Add(ioOut.Breakdown)
-	rails.Append(saOut.Rail)
-	rails.Append(ioOut.Rail)
-	return Finish(LDO, s.TotalNominal(), pin, bd, rails, p.LDOInLL), nil
-}
-
-// IMBVRModel is the Skylake-X style hybrid (§7): compute domains behind
-// IVRs on the 1.8 V V_IN rail (as in the IVR PDN) while SA and IO sit on
-// dedicated one-stage board VRs (as in the MBVR PDN).
-type IMBVRModel struct {
-	params Params
-	ivr    *vr.Buck
-	vin    *vr.Buck
-	sa     *vr.Buck
-	io     *vr.Buck
+func NewLDOModel(p Params) *SplitRailModel {
+	return newSplitRail(p, LDO, false, p.LDOInLL, p.TOBLDO)
 }
 
 // NewIMBVRModel constructs the I+MBVR PDN.
-func NewIMBVRModel(p Params) *IMBVRModel {
-	return &IMBVRModel{
-		params: p,
-		ivr:    vr.NewIVR("IVR", p.IVRIccmax),
-		vin:    vr.NewVinVR(p.VINIccmax),
-		sa:     vr.NewSmallRailVR("V_SA", p.SAIccmax),
-		io:     vr.NewSmallRailVR("V_IO", p.IOIccmax),
-	}
+func NewIMBVRModel(p Params) *SplitRailModel {
+	return newSplitRail(p, IMBVR, true, p.IVRInLL, p.TOBMBVR)
+}
+
+// NewFlexWattsModes constructs the power flow of FlexWatts' two hybrid
+// modes, both reported as FlexWatts. The hybrid VRs share the IVR's power
+// switch, decoupling capacitors, routing and V_IN VR between the modes, so
+// each mode's V_IN load-line is its static counterpart's times
+// Params.FlexSharePenalty; SA and IO always sit on the LDO PDN's board
+// rails. The mode policy (predictor, switch flow) lives in internal/core.
+func NewFlexWattsModes(p Params) (ivrMode, ldoMode *SplitRailModel) {
+	return newSplitRail(p, FlexWatts, true, p.IVRInLL*p.FlexSharePenalty, p.TOBLDO),
+		newSplitRail(p, FlexWatts, false, p.LDOInLL*p.FlexSharePenalty, p.TOBLDO)
 }
 
 // Kind implements Model.
-func (m *IMBVRModel) Kind() Kind { return IMBVR }
+func (m *SplitRailModel) Kind() Kind { return m.kind }
 
-// Evaluate implements Model.
-func (m *IMBVRModel) Evaluate(s Scenario) (Result, error) {
+// Evaluate implements Model, following Eq. 2, 6 (IVR stage) or 10/11 (LDO
+// stage), 7, 8 and 9/12 on the V_IN path and Eq. 2–5 on the SA/IO rails.
+func (m *SplitRailModel) Evaluate(s Scenario) (Result, error) {
 	if err := Validate(&s); err != nil {
 		return Result{}, err
 	}
-	p := m.params
+	p := &m.params
 	compute := []Load{s.Loads[domain.Core0], s.Loads[domain.Core1], s.Loads[domain.LLC], s.Loads[domain.GFX]}
-	st := IVRStage(compute, m.ivr, p.TOBIVR, p.VINLevel, s.CState)
+	var vinLevel units.Volt
+	var st stageOut
+	if m.ivr != nil {
+		vinLevel = p.VINLevel
+		st = ivrStage(compute, m.ivr, p.TOBIVR, vinLevel, s.CState)
+	} else {
+		vinLevel, st = ldoStage(compute, m.ldo, p.TOBLDO)
+	}
 
 	var pin units.Watt
 	var bd Breakdown
 	var rails RailSet
 	if st.PIn > 0 {
-		rail := VinRail(m.vin, st, p.VINLevel, p.IVRInLL, s.PSU, s.CState, 1)
+		rail := vinRail(m.vin, st, vinLevel, m.vinLL, s.PSU, s.CState, 1)
 		pin += rail.PIn
 		bd.Add(st.Breakdown)
 		bd.Add(rail.Breakdown)
 		rails.Append(rail.Rail)
 	}
-	saOut := BoardRail(m.sa, []Load{s.Loads[domain.SA]}, p.TOBMBVR, p.RPG, p.SALL, s.PSU, s.CState, false)
-	ioOut := BoardRail(m.io, []Load{s.Loads[domain.IO]}, p.TOBMBVR, p.RPG, p.IOLL, s.PSU, s.CState, false)
+	saOut := boardRail(m.sa, []Load{s.Loads[domain.SA]}, m.boardTOB, p.RPG, p.SALL, s.PSU, s.CState, false)
+	ioOut := boardRail(m.io, []Load{s.Loads[domain.IO]}, m.boardTOB, p.RPG, p.IOLL, s.PSU, s.CState, false)
 	pin += saOut.PIn + ioOut.PIn
 	bd.Add(saOut.Breakdown)
 	bd.Add(ioOut.Breakdown)
 	rails.Append(saOut.Rail)
 	rails.Append(ioOut.Rail)
-	return Finish(IMBVR, s.TotalNominal(), pin, bd, rails, p.IVRInLL), nil
+	return finish(m.kind, s.TotalNominal(), pin, bd, rails, m.vinLL), nil
 }
 
-// New constructs a baseline model of the given kind (not FlexWatts, which
-// lives in internal/core).
+// New constructs a baseline model of the given kind (not FlexWatts, whose
+// two modes come from NewFlexWattsModes and whose mode policy lives in
+// internal/core).
 func New(k Kind, p Params) (Model, error) {
 	switch k {
 	case IVR:

@@ -1,9 +1,6 @@
 package pdn
 
-import (
-	"repro/internal/units"
-	"repro/internal/vr"
-)
+import "repro/internal/units"
 
 // Params carries the PDN model constants of Table 2. The zero value is not
 // usable; start from DefaultParams.
@@ -68,13 +65,4 @@ func DefaultParams() Params {
 		IOIccmax:    4,
 		IVRIccmax:   45,
 	}
-}
-
-// newComputeLDOs instantiates one LDO per compute domain.
-func newComputeLDOs(p Params) map[string]*vr.LDO {
-	out := make(map[string]*vr.LDO, 4)
-	for _, name := range []string{"LDO_Core0", "LDO_Core1", "LDO_LLC", "LDO_GFX"} {
-		out[name] = vr.NewPlatformLDO(name, p.IVRIccmax)
-	}
-	return out
 }

@@ -1,7 +1,9 @@
 // Package pdn implements PDNspot's end-to-end power-conversion-efficiency
 // (ETEE) models for the three commonly-used client PDNs — MBVR, IVR and LDO
 // (paper §3.1, Fig 1) — plus the Skylake-X style I+MBVR hybrid used as an
-// additional baseline in §7.
+// additional baseline in §7, and the power flow of FlexWatts' two modes
+// (§6). LDO, I+MBVR and both FlexWatts modes share one split-rail model
+// (SplitRailModel); FlexWatts' mode policy lives in internal/core.
 //
 // Every model maps a set of per-domain loads (nominal power, nominal
 // voltage, leakage fraction, application ratio) to the power drawn from the
@@ -32,8 +34,9 @@ const (
 	FlexWatts
 )
 
-// Kinds lists the four baseline PDNs implemented by this package (FlexWatts
-// itself lives in internal/core, built from the same stages).
+// Kinds lists the four baseline PDNs implemented by this package (FlexWatts'
+// modes are built here by NewFlexWattsModes, and its mode policy lives in
+// internal/core).
 func Kinds() []Kind { return []Kind{IVR, MBVR, LDO, IMBVR} }
 
 // AllKinds lists every PDN including FlexWatts, in the paper's plotting
@@ -247,24 +250,6 @@ func VRStateFor(c domain.CState, iout units.Amp) vr.PowerState {
 	default: // C8 and deeper
 		return vr.PS4
 	}
-}
-
-// groupAR returns the effective application ratio of a set of loads sharing
-// one rail: the ratio of their summed power to their summed worst-case
-// (virus) power, so that Ppeak_group = Σ P_i/AR_i.
-func groupAR(loads []Load) float64 {
-	var p, ppeak units.Watt
-	for _, l := range loads {
-		if !l.Active() {
-			continue
-		}
-		p += l.PNom
-		ppeak += l.PNom / l.AR
-	}
-	if ppeak == 0 {
-		return 1
-	}
-	return p / ppeak
 }
 
 // offChipInput runs an off-chip buck VR stage: given power p delivered at

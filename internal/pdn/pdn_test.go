@@ -313,3 +313,54 @@ func TestParseKind(t *testing.T) {
 		t.Error("ParseKind accepted an unknown kind")
 	}
 }
+
+// TestFlexWattsModesMatchBaselines pins the §6 construction: with no
+// sharing penalty and one tolerance band for every SA/IO rail, IVR-Mode is
+// exactly I+MBVR and LDO-Mode exactly LDO, apart from the reported kind;
+// the penalty then scales only the V_IN load-line, which each mode reports
+// as ComputeRailR.
+func TestFlexWattsModesMatchBaselines(t *testing.T) {
+	p := gridTestParams()
+	p.FlexSharePenalty = 1
+	p.TOBMBVR = p.TOBLDO
+	ivrMode, ldoMode := NewFlexWattsModes(p)
+	pairs := []struct {
+		name       string
+		mode, base Model
+	}{{"IVR-Mode", ivrMode, NewIMBVRModel(p)}, {"LDO-Mode", ldoMode, NewLDOModel(p)}}
+	for _, c := range pairs {
+		if c.mode.Kind() != FlexWatts {
+			t.Errorf("%s kind %v, want FlexWatts", c.name, c.mode.Kind())
+		}
+		for i, s := range gridTestScenarios() {
+			got, err := c.mode.Evaluate(s)
+			if err != nil {
+				t.Fatalf("%s point %d: %v", c.name, i, err)
+			}
+			want, err := c.base.Evaluate(s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want.PDN = FlexWatts
+			if got != want {
+				t.Errorf("%s point %d differs from its baseline\n got:  %+v\n want: %+v", c.name, i, got, want)
+			}
+		}
+	}
+
+	p = gridTestParams()
+	ivrMode, ldoMode = NewFlexWattsModes(p)
+	s := gridTestScenarios()[0]
+	for _, c := range []struct {
+		m    Model
+		want units.Ohm
+	}{{ivrMode, p.IVRInLL * p.FlexSharePenalty}, {ldoMode, p.LDOInLL * p.FlexSharePenalty}} {
+		r, err := c.m.Evaluate(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.ComputeRailR != c.want {
+			t.Errorf("ComputeRailR %g, want the penalized V_IN load-line %g", r.ComputeRailR, c.want)
+		}
+	}
+}

@@ -7,13 +7,14 @@ import (
 	"repro/internal/vr"
 )
 
-// This file implements the reusable power-flow stages from which the four
-// baseline PDN models (and FlexWatts, in internal/core) are assembled. Each
-// stage follows the corresponding equations of paper §3.1.
+// This file implements the reusable power-flow stages from which the PDN
+// models (the IVR, MBVR and split-rail models, the last also serving
+// FlexWatts' two modes) are assembled. Each stage follows the corresponding
+// equations of paper §3.1.
 
-// StageOut is the result of an on-chip conversion stage for a group of
+// stageOut is the result of an on-chip conversion stage for a group of
 // domains feeding a shared input rail.
-type StageOut struct {
+type stageOut struct {
 	// PIn is the power drawn from the shared rail (PIN in Fig 1).
 	PIn units.Watt
 	// AR is the group's effective application ratio (PIN / PINpeak).
@@ -22,12 +23,12 @@ type StageOut struct {
 	Breakdown Breakdown
 }
 
-// IVRStage applies Eq. 2 and Eq. 6 to each active load: tolerance-band
+// ivrStage applies Eq. 2 and Eq. 6 to each active load: tolerance-band
 // guardband followed by the domain's integrated VR loss, with all IVRs fed
 // from the vin rail. It is used for all six domains in the IVR PDN and for
 // the compute domains in I+MBVR and FlexWatts' IVR-Mode.
-func IVRStage(loads []Load, ivr *vr.Buck, tob units.Volt, vin units.Volt, c domain.CState) StageOut {
-	var out StageOut
+func ivrStage(loads []Load, ivr *vr.Buck, tob units.Volt, vin units.Volt, c domain.CState) stageOut {
+	var out stageOut
 	var ppeak units.Watt
 	for _, l := range loads {
 		if !l.Active() {
@@ -52,13 +53,13 @@ func IVRStage(loads []Load, ivr *vr.Buck, tob units.Volt, vin units.Volt, c doma
 	return out
 }
 
-// LDOStage applies Eq. 2 and Eq. 10/11 to the compute domains: the shared
+// ldoStage applies Eq. 2 and Eq. 10/11 to the compute domains: the shared
 // input rail is set to the maximum domain voltage, the highest-voltage
 // domain's LDO runs in bypass, and the others regulate down (paying the
 // voltage-ratio efficiency). Used by the LDO PDN and FlexWatts' LDO-Mode.
 // It returns the chosen rail voltage alongside the stage result.
-func LDOStage(loads []Load, ldo *vr.LDO, tob units.Volt) (units.Volt, StageOut) {
-	var out StageOut
+func ldoStage(loads []Load, ldo *vr.LDO, tob units.Volt) (units.Volt, stageOut) {
+	var out stageOut
 	var vin units.Volt
 	for _, l := range loads {
 		if l.Active() && l.VNom > vin {
@@ -89,9 +90,9 @@ func LDOStage(loads []Load, ldo *vr.LDO, tob units.Volt) (units.Volt, StageOut) 
 	return vin, out
 }
 
-// RailOut is the result of carrying a rail's power across its load-line and
+// railOut is the result of carrying a rail's power across its load-line and
 // through its off-chip VR to the PSU.
-type RailOut struct {
+type railOut struct {
 	// PIn is the power drawn from the PSU.
 	PIn units.Watt
 	// Breakdown holds the load-line conduction loss and off-chip VR loss.
@@ -100,13 +101,13 @@ type RailOut struct {
 	Rail RailDraw
 }
 
-// VinRail carries a shared on-chip rail (output of IVRStage or LDOStage)
+// vinRail carries a shared on-chip rail (output of ivrStage or ldoStage)
 // across the input load-line (Eq. 7/8) and the first-stage VR (Eq. 9/12
 // first term). computeShare says what fraction of the conduction loss to
 // attribute to the compute path in the Fig 5 breakdown (1 when the rail
 // feeds only compute domains).
-func VinRail(b *vr.Buck, st StageOut, vin units.Volt, rll units.Ohm, psu units.Volt, c domain.CState, computeShare float64) RailOut {
-	var out RailOut
+func vinRail(b *vr.Buck, st stageOut, vin units.Volt, rll units.Ohm, psu units.Volt, c domain.CState, computeShare float64) railOut {
+	var out railOut
 	if st.PIn == 0 {
 		out.Rail = RailDraw{Name: b.Name(), VOut: vin}
 		return out
@@ -126,14 +127,14 @@ func VinRail(b *vr.Buck, st StageOut, vin units.Volt, rll units.Ohm, psu units.V
 	return out
 }
 
-// BoardRail serves a group of domains directly from a one-stage motherboard
+// boardRail serves a group of domains directly from a one-stage motherboard
 // VR (the MBVR pattern, Eq. 2–5): per-domain tolerance guardband, scaling to
 // the shared rail voltage (domains needing less than the rail voltage still
 // receive it), power-gate drop compensation, group load-line, and the
 // off-chip VR. compute selects which Fig 5 conduction-loss bucket the
 // load-line loss lands in.
-func BoardRail(b *vr.Buck, loads []Load, tob units.Volt, rpg, rll units.Ohm, psu units.Volt, c domain.CState, compute bool) RailOut {
-	var out RailOut
+func boardRail(b *vr.Buck, loads []Load, tob units.Volt, rpg, rll units.Ohm, psu units.Volt, c domain.CState, compute bool) railOut {
+	var out railOut
 	var railV units.Volt
 	for _, l := range loads {
 		if l.Active() && l.VNom > railV {

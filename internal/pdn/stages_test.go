@@ -21,7 +21,7 @@ func computeLoads(p units.Watt, v units.Volt, ar float64) []Load {
 func TestIVRStage(t *testing.T) {
 	ivr := vr.NewIVR("ivr", 45)
 	loads := computeLoads(6, 0.8, 0.6)
-	out := IVRStage(loads, ivr, units.MilliVolt(20), 1.8, domain.C0)
+	out := ivrStage(loads, ivr, units.MilliVolt(20), 1.8, domain.C0)
 	var pnom units.Watt
 	for _, l := range loads {
 		pnom += l.PNom
@@ -37,7 +37,7 @@ func TestIVRStage(t *testing.T) {
 		t.Errorf("group AR %g, want 0.6", out.AR)
 	}
 	// No active loads: zero stage.
-	empty := IVRStage([]Load{{}}, ivr, units.MilliVolt(20), 1.8, domain.C0)
+	empty := ivrStage([]Load{{}}, ivr, units.MilliVolt(20), 1.8, domain.C0)
 	if empty.PIn != 0 || empty.AR != 1 {
 		t.Errorf("empty stage: %+v", empty)
 	}
@@ -48,7 +48,7 @@ func TestLDOStageBypass(t *testing.T) {
 	// All compute domains at the same voltage: everything runs in bypass,
 	// so the on-chip loss is only the tolerance band + bypass drop.
 	loads := computeLoads(6, 0.8, 0.6)
-	vin, out := LDOStage(loads, ldo, units.MilliVolt(17))
+	vin, out := ldoStage(loads, ldo, units.MilliVolt(17))
 	if math.Abs(vin-(0.8+0.017)) > 1e-9 {
 		t.Errorf("rail voltage %g, want 0.817", vin)
 	}
@@ -69,7 +69,7 @@ func TestLDOStageRegulation(t *testing.T) {
 		{PNom: 2, VNom: 0.55, FL: 0.22, AR: 0.6},
 		{PNom: 5, VNom: 1.0, FL: 0.45, AR: 0.6},
 	}
-	vin, out := LDOStage(loads, ldo, units.MilliVolt(17))
+	vin, out := ldoStage(loads, ldo, units.MilliVolt(17))
 	if vin < 1.0 {
 		t.Errorf("rail must follow the max domain voltage, got %g", vin)
 	}
@@ -78,7 +78,7 @@ func TestLDOStageRegulation(t *testing.T) {
 		t.Errorf("voltage-split LDO loss %g too small", out.Breakdown.OnChipVR)
 	}
 	// Empty stage.
-	vin, empty := LDOStage([]Load{{}}, ldo, units.MilliVolt(17))
+	vin, empty := ldoStage([]Load{{}}, ldo, units.MilliVolt(17))
 	if vin != 0 || empty.PIn != 0 {
 		t.Error("empty LDO stage should be zero")
 	}
@@ -86,8 +86,8 @@ func TestLDOStageRegulation(t *testing.T) {
 
 func TestVinRailAttribution(t *testing.T) {
 	b := vr.NewVinVR(45)
-	st := StageOut{PIn: 10, AR: 0.5}
-	out := VinRail(b, st, 1.8, units.MilliOhm(1), 7.2, domain.C0, 0.7)
+	st := stageOut{PIn: 10, AR: 0.5}
+	out := vinRail(b, st, 1.8, units.MilliOhm(1), 7.2, domain.C0, 0.7)
 	if out.PIn <= st.PIn {
 		t.Error("rail must add loss")
 	}
@@ -103,7 +103,7 @@ func TestVinRailAttribution(t *testing.T) {
 		t.Errorf("rail draw %+v", out.Rail)
 	}
 	// Zero stage passes through as zero.
-	zero := VinRail(b, StageOut{}, 1.8, units.MilliOhm(1), 7.2, domain.C0, 1)
+	zero := vinRail(b, stageOut{}, 1.8, units.MilliOhm(1), 7.2, domain.C0, 1)
 	if zero.PIn != 0 {
 		t.Error("zero stage should draw nothing")
 	}
@@ -115,16 +115,16 @@ func TestBoardRailSharingOvervolt(t *testing.T) {
 	rpg := units.MilliOhm(1.5)
 	rll := units.MilliOhm(2.5)
 	// A lone 0.9V load...
-	alone := BoardRail(b, []Load{
+	alone := boardRail(b, []Load{
 		{PNom: 5, VNom: 0.9, FL: 0.45, AR: 0.6},
 	}, tob, rpg, rll, 7.2, domain.C0, true)
 	// ...versus sharing the rail with a 1.1V domain: the 0.9V load gets
 	// over-volted and the rail draws strictly more than the sum of parts.
-	shared := BoardRail(b, []Load{
+	shared := boardRail(b, []Load{
 		{PNom: 5, VNom: 0.9, FL: 0.45, AR: 0.6},
 		{PNom: 1, VNom: 1.1, FL: 0.22, AR: 0.6},
 	}, tob, rpg, rll, 7.2, domain.C0, true)
-	llcAlone := BoardRail(b, []Load{
+	llcAlone := boardRail(b, []Load{
 		{PNom: 1, VNom: 1.1, FL: 0.22, AR: 0.6},
 	}, tob, rpg, rll, 7.2, domain.C0, true)
 	if !(shared.PIn > alone.PIn+llcAlone.PIn-0.3) { // fixed losses amortize; overvolt dominates
@@ -135,7 +135,7 @@ func TestBoardRailSharingOvervolt(t *testing.T) {
 		t.Errorf("shared rail voltage %.3f should sit above the max domain voltage", shared.Rail.VOut)
 	}
 	// Empty rail.
-	empty := BoardRail(b, []Load{{}}, tob, rpg, rll, 7.2, domain.C0, false)
+	empty := boardRail(b, []Load{{}}, tob, rpg, rll, 7.2, domain.C0, false)
 	if empty.PIn != 0 {
 		t.Error("empty rail should draw nothing")
 	}
