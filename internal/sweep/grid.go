@@ -252,7 +252,7 @@ func GridMapCtx(ctx context.Context, workers int, c *Cache, m pdn.Model, g *pdn.
 	}
 	n := g.Len()
 	chunks := (n + chunk - 1) / chunk
-	return EachCtx(ctx, workers, chunks, func(ci int) error {
+	_, err := MapCtx(ctx, workers, chunks, func(ci int) (struct{}, error) {
 		lo := ci * chunk
 		hi := lo + chunk
 		if hi > n {
@@ -260,8 +260,9 @@ func GridMapCtx(ctx context.Context, workers int, c *Cache, m pdn.Model, g *pdn.
 		}
 		v := g.View(lo, hi)
 		if err := c.EvaluateGrid(m, &v, out[lo:hi]); err != nil {
-			return fmt.Errorf("sweep: grid points [%d,%d): %w", lo, hi, err)
+			return struct{}{}, fmt.Errorf("sweep: grid points [%d,%d): %w", lo, hi, err)
 		}
-		return nil
+		return struct{}{}, nil
 	})
+	return err
 }

@@ -10,6 +10,11 @@
 // (workers == 1 degenerates to the plain serial loop). Cache memoizes
 // (PDN kind, scenario) evaluations so cells shared between figures are
 // computed once per run.
+//
+// Four entry points remain, one per caller shape: Map and MapCtx run a
+// per-point closure and collect its results; StreamCtx delivers them in
+// order through a bounded window; GridMapCtx runs whole grid chunks
+// through a model's batch kernel and the cache.
 package sweep
 
 import (
@@ -237,18 +242,4 @@ consume:
 		return context.Cause(ctx)
 	}
 	return nil
-}
-
-// Each is Map for functions that produce no value: it runs fn over the
-// index grid and returns the lowest-index error, if any.
-func Each(workers, n int, fn func(i int) error) error {
-	return EachCtx(context.Background(), workers, n, fn)
-}
-
-// EachCtx is Each with cancellation, with MapCtx's semantics.
-func EachCtx(ctx context.Context, workers, n int, fn func(i int) error) error {
-	_, err := MapCtx(ctx, workers, n, func(i int) (struct{}, error) {
-		return struct{}{}, fn(i)
-	})
-	return err
 }

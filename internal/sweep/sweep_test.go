@@ -72,25 +72,3 @@ func TestMapEmpty(t *testing.T) {
 		t.Errorf("Map over empty grid = (%v, %v), want (nil, nil)", out, err)
 	}
 }
-
-func TestEach(t *testing.T) {
-	var sum atomic.Int64
-	if err := Each(4, 10, func(i int) error {
-		sum.Add(int64(i))
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if sum.Load() != 45 {
-		t.Errorf("sum = %d, want 45", sum.Load())
-	}
-	wantErr := errors.New("boom")
-	if err := Each(4, 10, func(i int) error {
-		if i == 3 {
-			return wantErr
-		}
-		return nil
-	}); !errors.Is(err, wantErr) {
-		t.Errorf("Each error = %v, want %v", err, wantErr)
-	}
-}
