@@ -27,7 +27,7 @@ SLO_LABEL ?= slo
 STATICCHECK_VERSION ?= 2025.1.1
 GOVULNCHECK_VERSION ?= v1.1.4
 
-.PHONY: all build test race bench bench-json bench-check lint fmt ci smoke slo fuzz-smoke staticcheck govulncheck
+.PHONY: all build test race bench bench-json bench-check perfbench-check lint fmt ci smoke slo fuzz-smoke staticcheck govulncheck
 
 all: build test
 
@@ -67,6 +67,12 @@ bench-check:
 	$(GO) test -run '^$$' -bench '$(BENCHES)' -benchmem -benchtime=$(BENCHTIME) . > $(BENCH_JSON).check.tmp
 	$(GO) run ./cmd/benchjson -check -baseline $(BENCH_JSON) -against current -tolerance $(BENCH_TOLERANCE) < $(BENCH_JSON).check.tmp
 	@rm -f $(BENCH_JSON).check.tmp
+
+# perfbench is its own module (perfbench/go.mod), so the root build and
+# tests never compile it, yet it imports the internal packages. Vet and test
+# it here so a change to those packages cannot break the benchmark unseen.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # Boot the flexwattsd daemon (built with -race), hit every endpoint class,
 # and diff the served ASCII bodies against the committed goldens.
@@ -111,4 +117,4 @@ govulncheck:
 fmt:
 	gofmt -w .
 
-ci: build lint race bench
+ci: build lint race bench perfbench-check
