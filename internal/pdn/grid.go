@@ -729,6 +729,21 @@ func (r *boardRailRun) evalPoint(g *Grid, i int, m uint16) {
 	r.out = out
 }
 
+// evalInto accumulates exactly boardRail(b, loads, tob, rpg, rll, psu, c,
+// compute) for point i of the grid into the caller's breakdown and rail
+// set, returning the rail's PSU draw; m is point i's change mask. The
+// accumulation performs Breakdown.Add's field additions on the memoized
+// (or freshly computed) rail output, so the bits match the standalone
+// railOut form exactly.
+func (r *boardRailRun) evalInto(g *Grid, i int, m uint16, bd *Breakdown, rails *RailSet) units.Watt {
+	if !r.valid || m&r.need != r.need {
+		r.evalPoint(g, i, m)
+	}
+	bd.addFrom(&r.out.Breakdown)
+	rails.Append(r.out.Rail)
+	return r.out.PIn
+}
+
 // evalBlock sweeps the rail over points [base, base+blk), rail-major:
 // each point's breakdown and rail draw accumulate into out[base+j] and the
 // rail's PSU draw adds into pins[j], with the rail's state held hot across
@@ -878,13 +893,10 @@ func (m *MBVRModel) EvaluateGrid(g *Grid, out []Result) error {
 
 // EvaluateGrid evaluates every grid point into out[:g.Len()], bitwise
 // identical to calling Evaluate per point; see IVRModel.EvaluateGrid for
-// the error contract. The compute stage and V_IN rail run point-major (the
-// stage output feeds the rail immediately), then the two board rails sweep
-// the block rail-major as in MBVRModel.EvaluateGrid. The board draws
-// accumulate into their own per-point column first because the scalar form
-// is pin += saP + ioP — sa and io sum together before joining the V_IN
-// draw — and that grouping must be preserved for the final addition to
-// carry identical bits.
+// the error contract. All three rails run point-major: on sweep-shaped
+// grids the SA/IO rails are mostly whole-rail memo hits, and sweeping them
+// rail-major as MBVRModel.EvaluateGrid does only re-reads the result block
+// (measured slower for every split-rail PDN).
 func (m *SplitRailModel) EvaluateGrid(g *Grid, out []Result) error {
 	if err := CheckGridOut(g, out); err != nil {
 		return err
@@ -904,26 +916,18 @@ func (m *SplitRailModel) EvaluateGrid(g *Grid, out []Result) error {
 	var pt gridPointRun
 	var st stageOut
 	var masks [gridMaskBlock]uint16
-	var pins [gridMaskBlock]units.Watt
-	var board [gridMaskBlock]units.Watt
-	var totals [gridMaskBlock]units.Watt
 	for base := 0; base < g.Len(); base += gridMaskBlock {
 		blk := g.Len() - base
 		if blk > gridMaskBlock {
 			blk = gridMaskBlock
 		}
 		g.ChangeMasks(base, masks[:blk])
-		var verr error
-		vblk := blk
 		for j := 0; j < blk; j++ {
 			i := base + j
 			mk := masks[j]
 			if err := pt.validate(g, i, mk); err != nil {
-				verr = GridPointError(i, err)
-				vblk = j
-				break
+				return GridPointError(i, err)
 			}
-			totals[j] = pt.total
 			vinLevel := p.VINLevel
 			if m.ivr != nil {
 				ivrSt.evalInto(&st, g, i, mk)
@@ -931,20 +935,15 @@ func (m *SplitRailModel) EvaluateGrid(g *Grid, out []Result) error {
 				vinLevel = ldoSt.evalInto(&st, g, i, mk)
 			}
 			res := &out[i]
-			pins[j] = 0
+			var pin units.Watt
 			if st.PIn > 0 {
 				res.Breakdown.addFrom(&st.Breakdown)
-				pins[j] = rail.evalInto(&st, vinLevel, m.vinLL, g.psu[i], g.cstate[i], 1, &res.Breakdown, &res.Rails)
+				pin += rail.evalInto(&st, vinLevel, m.vinLL, g.psu[i], g.cstate[i], 1, &res.Breakdown, &res.Rails)
 			}
-			board[j] = 0
-		}
-		sa.evalBlock(g, base, vblk, masks[:vblk], out, board[:vblk])
-		io.evalBlock(g, base, vblk, masks[:vblk], out, board[:vblk])
-		for j := 0; j < vblk; j++ {
-			finishResult(&out[base+j], m.kind, totals[j], pins[j]+board[j], m.vinLL)
-		}
-		if verr != nil {
-			return verr
+			saP := sa.evalInto(g, i, mk, &res.Breakdown, &res.Rails)
+			ioP := io.evalInto(g, i, mk, &res.Breakdown, &res.Rails)
+			pin += saP + ioP
+			finishResult(res, m.kind, pt.total, pin, m.vinLL)
 		}
 	}
 	return nil
