@@ -247,7 +247,7 @@ func (m *SplitRailModel) Evaluate(s Scenario) (Result, error) {
 		return Result{}, err
 	}
 	p := &m.params
-	compute := []Load{s.Loads[domain.Core0], s.Loads[domain.Core1], s.Loads[domain.LLC], s.Loads[domain.GFX]}
+	compute := s.Loads[domain.Core0 : domain.GFX+1]
 	var vinLevel units.Volt
 	var st stageOut
 	if m.ivr != nil {
@@ -267,8 +267,8 @@ func (m *SplitRailModel) Evaluate(s Scenario) (Result, error) {
 		bd.Add(rail.Breakdown)
 		rails.Append(rail.Rail)
 	}
-	saOut := boardRail(m.sa, []Load{s.Loads[domain.SA]}, m.boardTOB, p.RPG, p.SALL, s.PSU, s.CState, false)
-	ioOut := boardRail(m.io, []Load{s.Loads[domain.IO]}, m.boardTOB, p.RPG, p.IOLL, s.PSU, s.CState, false)
+	saOut := boardRail(m.sa, s.Loads[domain.SA:domain.SA+1], m.boardTOB, p.RPG, p.SALL, s.PSU, s.CState, false)
+	ioOut := boardRail(m.io, s.Loads[domain.IO:domain.IO+1], m.boardTOB, p.RPG, p.IOLL, s.PSU, s.CState, false)
 	pin += saOut.PIn + ioOut.PIn
 	bd.Add(saOut.Breakdown)
 	bd.Add(ioOut.Breakdown)
