@@ -314,20 +314,24 @@ func TestParseKind(t *testing.T) {
 	}
 }
 
-// TestFlexWattsModesMatchBaselines pins the §6 construction: with no
-// sharing penalty and one tolerance band for every SA/IO rail, IVR-Mode is
-// exactly I+MBVR and LDO-Mode exactly LDO, apart from the reported kind;
-// the penalty then scales only the V_IN load-line, which each mode reports
-// as ComputeRailR.
+// TestFlexWattsModesMatchBaselines pins the §6 construction: IVR-Mode is
+// exactly I+MBVR and LDO-Mode exactly LDO, apart from the reported kind,
+// once each baseline's V_IN load-line carries the sharing penalty and
+// I+MBVR's SA/IO rails take the LDO tolerance band. gridTestParams has a
+// penalty of 1.1 and TOBLDO ≠ TOBMBVR, so a mode wired to an unpenalized
+// load-line or to the MBVR band would differ.
 func TestFlexWattsModesMatchBaselines(t *testing.T) {
 	p := gridTestParams()
-	p.FlexSharePenalty = 1
-	p.TOBMBVR = p.TOBLDO
 	ivrMode, ldoMode := NewFlexWattsModes(p)
+	imbvr := p
+	imbvr.IVRInLL = p.IVRInLL * p.FlexSharePenalty
+	imbvr.TOBMBVR = p.TOBLDO
+	ldo := p
+	ldo.LDOInLL = p.LDOInLL * p.FlexSharePenalty
 	pairs := []struct {
 		name       string
 		mode, base Model
-	}{{"IVR-Mode", ivrMode, NewIMBVRModel(p)}, {"LDO-Mode", ldoMode, NewLDOModel(p)}}
+	}{{"IVR-Mode", ivrMode, NewIMBVRModel(imbvr)}, {"LDO-Mode", ldoMode, NewLDOModel(ldo)}}
 	for _, c := range pairs {
 		if c.mode.Kind() != FlexWatts {
 			t.Errorf("%s kind %v, want FlexWatts", c.name, c.mode.Kind())
@@ -345,22 +349,6 @@ func TestFlexWattsModesMatchBaselines(t *testing.T) {
 			if got != want {
 				t.Errorf("%s point %d differs from its baseline\n got:  %+v\n want: %+v", c.name, i, got, want)
 			}
-		}
-	}
-
-	p = gridTestParams()
-	ivrMode, ldoMode = NewFlexWattsModes(p)
-	s := gridTestScenarios()[0]
-	for _, c := range []struct {
-		m    Model
-		want units.Ohm
-	}{{ivrMode, p.IVRInLL * p.FlexSharePenalty}, {ldoMode, p.LDOInLL * p.FlexSharePenalty}} {
-		r, err := c.m.Evaluate(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if r.ComputeRailR != c.want {
-			t.Errorf("ComputeRailR %g, want the penalized V_IN load-line %g", r.ComputeRailR, c.want)
 		}
 	}
 }
