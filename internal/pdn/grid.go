@@ -2,6 +2,7 @@ package pdn
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/domain"
 	"repro/internal/loadline"
@@ -235,6 +236,8 @@ type gridPointRun struct {
 func (r *gridPointRun) validate(g *Grid, i int, m uint16) error {
 	if psu := g.psu[i]; psu <= 0 {
 		return fmt.Errorf("pdn: PSU voltage must be positive, got %g", psu)
+	} else if !(psu <= math.MaxFloat64) {
+		return fmt.Errorf("pdn: PSU voltage must be finite, got %g", psu)
 	}
 	if r.valid && m&gridMaskAllFree == gridMaskAllFree {
 		if m&gridMaskAllAR == gridMaskAllAR {
@@ -261,6 +264,9 @@ func (r *gridPointRun) validate(g *Grid, i int, m uint16) error {
 		if pnom < 0 {
 			return fmt.Errorf("pdn: %v has negative power %g", k, pnom)
 		}
+		if !(pnom <= math.MaxFloat64) {
+			return fmt.Errorf("pdn: %v has non-finite power %g", k, pnom)
+		}
 		total += pnom
 		if k.IsCompute() {
 			computeP += pnom
@@ -271,6 +277,8 @@ func (r *gridPointRun) validate(g *Grid, i int, m uint16) error {
 		active = true
 		if vnom := g.vnom[k][i]; vnom <= 0 {
 			return fmt.Errorf("pdn: %v active with non-positive voltage %g", k, vnom)
+		} else if !(vnom <= math.MaxFloat64) {
+			return fmt.Errorf("pdn: %v active with non-finite voltage %g", k, vnom)
 		}
 		if ar := g.ar[k][i]; !(ar > 0 && ar <= 1) {
 			return fmt.Errorf("pdn: %v has AR %g outside (0,1]", k, ar)

@@ -261,39 +261,40 @@ func TestEvaluateGridBitwise(t *testing.T) {
 // ErrNoLoad, and a short result block is rejected up front.
 func TestEvaluateGridErrors(t *testing.T) {
 	good := gridTestScenarios()[0]
-	bad := good
-	bad.Loads[domain.Core0].AR = 1.5 // outside (0,1]
-	g := GridOf([]Scenario{good, bad, good})
 	empty := GridOf([]Scenario{NewScenario()}) // no active load
+	short := GridOf([]Scenario{good, good})
 
 	for _, nm := range gridTestModels(t, gridTestParams()) {
 		m := nm.m
 		t.Run(nm.name, func(t *testing.T) {
-			out := make([]Result, g.Len())
-			err := m.EvaluateGrid(g, out)
-			if err == nil {
-				t.Fatal("EvaluateGrid accepted an invalid point")
-			}
-			_, wantErr := m.Evaluate(bad)
-			if wantErr == nil {
-				t.Fatal("scalar Evaluate accepted the invalid point")
-			}
-			if want := GridPointError(1, wantErr).Error(); err.Error() != want {
-				t.Errorf("grid error %q, want %q", err, want)
-			}
-			want, err := m.Evaluate(good)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if out[0] != want {
-				t.Error("result for the point preceding the failure was not written")
+			for _, c := range invalidScenarios(good) {
+				g := GridOf([]Scenario{good, c.s, good})
+				out := make([]Result, g.Len())
+				err := m.EvaluateGrid(g, out)
+				if err == nil {
+					t.Fatalf("%s: EvaluateGrid accepted an invalid point", c.name)
+				}
+				_, wantErr := m.Evaluate(c.s)
+				if wantErr == nil || wantErr.Error() != c.want {
+					t.Fatalf("%s: scalar Evaluate error %v, want %q", c.name, wantErr, c.want)
+				}
+				if want := GridPointError(1, wantErr).Error(); err.Error() != want {
+					t.Errorf("%s: grid error %q, want %q", c.name, err, want)
+				}
+				want, err := m.Evaluate(good)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if out[0] != want {
+					t.Errorf("%s: result for the point preceding the failure was not written", c.name)
+				}
 			}
 
 			if err := m.EvaluateGrid(empty, make([]Result, 1)); !errors.Is(err, ErrNoLoad) || !strings.Contains(err.Error(), "grid point 0") {
 				t.Errorf("no-load grid error = %v, want ErrNoLoad wrapped at point 0", err)
 			}
 
-			if err := m.EvaluateGrid(g, make([]Result, 1)); err == nil || err.Error() != CheckGridOut(g, make([]Result, 1)).Error() {
+			if err := m.EvaluateGrid(short, make([]Result, 1)); err == nil || err.Error() != CheckGridOut(short, make([]Result, 1)).Error() {
 				t.Errorf("short result block error = %v, want the result-block check", err)
 			}
 		})

@@ -3,6 +3,7 @@ package pdn
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"repro/internal/domain"
 	"repro/internal/units"
@@ -12,12 +13,17 @@ import (
 // ErrNoLoad is returned when a scenario has no active domain at all.
 var ErrNoLoad = errors.New("pdn: scenario has no active load")
 
-// Validate checks scenario invariants shared by all models. It takes a
+// Validate checks scenario invariants shared by all models: a positive,
+// finite PSU voltage and, per domain, a non-negative finite power and, when
+// active, a positive finite voltage, AR in (0,1] and FL in [0,1]. It takes a
 // pointer because it sits on the per-evaluation hot path and Scenario is a
 // ~200-byte value; the scenario is not modified.
 func Validate(s *Scenario) error {
 	if s.PSU <= 0 {
 		return fmt.Errorf("pdn: PSU voltage must be positive, got %g", s.PSU)
+	}
+	if !(s.PSU <= math.MaxFloat64) {
+		return fmt.Errorf("pdn: PSU voltage must be finite, got %g", s.PSU)
 	}
 	active := false
 	for k := range s.Loads {
@@ -25,12 +31,18 @@ func Validate(s *Scenario) error {
 		if l.PNom < 0 {
 			return fmt.Errorf("pdn: %v has negative power %g", domain.Kind(k), l.PNom)
 		}
+		if !(l.PNom <= math.MaxFloat64) {
+			return fmt.Errorf("pdn: %v has non-finite power %g", domain.Kind(k), l.PNom)
+		}
 		if !l.Active() {
 			continue
 		}
 		active = true
 		if l.VNom <= 0 {
 			return fmt.Errorf("pdn: %v active with non-positive voltage %g", domain.Kind(k), l.VNom)
+		}
+		if !(l.VNom <= math.MaxFloat64) {
+			return fmt.Errorf("pdn: %v active with non-finite voltage %g", domain.Kind(k), l.VNom)
 		}
 		if !(l.AR > 0 && l.AR <= 1) {
 			return fmt.Errorf("pdn: %v has AR %g outside (0,1]", domain.Kind(k), l.AR)

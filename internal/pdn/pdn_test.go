@@ -68,51 +68,69 @@ func TestEvaluateBasics(t *testing.T) {
 	}
 }
 
+// invalidScenarios returns one scenario per validation failure, each built
+// from a valid base by one edit, with the error Validate must report.
+func invalidScenarios(base Scenario) []struct {
+	name string
+	s    Scenario
+	want string
+} {
+	type edit struct {
+		name string
+		set  func(*Scenario)
+		want string
+	}
+	edits := []edit{
+		{"zero PSU", func(s *Scenario) { s.PSU = 0 }, "pdn: PSU voltage must be positive, got 0"},
+		{"NaN PSU", func(s *Scenario) { s.PSU = math.NaN() }, "pdn: PSU voltage must be finite, got NaN"},
+		{"+Inf PSU", func(s *Scenario) { s.PSU = math.Inf(1) }, "pdn: PSU voltage must be finite, got +Inf"},
+		{"AR > 1", func(s *Scenario) { s.Loads[domain.Core0].AR = 1.5 }, "pdn: Core0 has AR 1.5 outside (0,1]"},
+		{"zero voltage", func(s *Scenario) { s.Loads[domain.Core0].VNom = 0 }, "pdn: Core0 active with non-positive voltage 0"},
+		{"NaN voltage", func(s *Scenario) { s.Loads[domain.Core0].VNom = math.NaN() }, "pdn: Core0 active with non-finite voltage NaN"},
+		{"+Inf voltage", func(s *Scenario) { s.Loads[domain.Core0].VNom = math.Inf(1) }, "pdn: Core0 active with non-finite voltage +Inf"},
+		{"negative power", func(s *Scenario) { s.Loads[domain.Core0].PNom = -1 }, "pdn: Core0 has negative power -1"},
+		{"-Inf power", func(s *Scenario) { s.Loads[domain.Core0].PNom = math.Inf(-1) }, "pdn: Core0 has negative power -Inf"},
+		{"NaN power", func(s *Scenario) { s.Loads[domain.Core0].PNom = math.NaN() }, "pdn: Core0 has non-finite power NaN"},
+		{"+Inf power", func(s *Scenario) { s.Loads[domain.Core0].PNom = math.Inf(1) }, "pdn: Core0 has non-finite power +Inf"},
+		{"NaN idle power", func(s *Scenario) { s.Loads[domain.GFX] = Load{PNom: math.NaN()} }, "pdn: GFX has non-finite power NaN"},
+		{"FL > 1", func(s *Scenario) { s.Loads[domain.Core0].FL = 1.5 }, "pdn: Core0 has FL 1.5 outside [0,1]"},
+	}
+	out := make([]struct {
+		name string
+		s    Scenario
+		want string
+	}, len(edits))
+	for i, e := range edits {
+		out[i].name, out[i].s, out[i].want = e.name, base, e.want
+		e.set(&out[i].s)
+	}
+	return out
+}
+
+// TestValidationErrors pins every validation failure, with its message,
+// on every model and on Validate itself: non-finite PSU, power and voltage
+// are rejected rather than evaluated (a NaN power used to pass as idle, and
+// a +Inf power or a NaN voltage panicked inside the loss model).
 func TestValidationErrors(t *testing.T) {
 	models, _ := testModels(t)
-	m := models[IVR]
 
 	empty := NewScenario()
-	if _, err := m.Evaluate(empty); !errors.Is(err, ErrNoLoad) {
-		t.Errorf("empty scenario: got %v, want ErrNoLoad", err)
+	for k, m := range models {
+		if _, err := m.Evaluate(empty); !errors.Is(err, ErrNoLoad) {
+			t.Errorf("%v empty scenario: got %v, want ErrNoLoad", k, err)
+		}
 	}
 
-	s := activeScenario(3, 0.7, 0.6)
-	s.PSU = 0
-	if _, err := m.Evaluate(s); err == nil {
-		t.Error("zero PSU accepted")
-	}
-
-	s = activeScenario(3, 0.7, 0.6)
-	l := s.Loads[domain.Core0]
-	l.AR = 1.5
-	s.Loads[domain.Core0] = l
-	if _, err := m.Evaluate(s); err == nil {
-		t.Error("AR > 1 accepted")
-	}
-
-	s = activeScenario(3, 0.7, 0.6)
-	l = s.Loads[domain.Core0]
-	l.VNom = 0
-	s.Loads[domain.Core0] = l
-	if _, err := m.Evaluate(s); err == nil {
-		t.Error("active load with zero voltage accepted")
-	}
-
-	s = activeScenario(3, 0.7, 0.6)
-	l = s.Loads[domain.Core0]
-	l.PNom = -1
-	s.Loads[domain.Core0] = l
-	if _, err := m.Evaluate(s); err == nil {
-		t.Error("negative power accepted")
-	}
-
-	s = activeScenario(3, 0.7, 0.6)
-	l = s.Loads[domain.Core0]
-	l.FL = 1.5
-	s.Loads[domain.Core0] = l
-	if _, err := m.Evaluate(s); err == nil {
-		t.Error("FL > 1 accepted")
+	for _, c := range invalidScenarios(activeScenario(3, 0.7, 0.6)) {
+		s := c.s
+		if err := Validate(&s); err == nil || err.Error() != c.want {
+			t.Errorf("%s: Validate = %v, want %q", c.name, err, c.want)
+		}
+		for k, m := range models {
+			if _, err := m.Evaluate(c.s); err == nil || err.Error() != c.want {
+				t.Errorf("%s: %v.Evaluate error = %v, want %q", c.name, k, err, c.want)
+			}
+		}
 	}
 }
 
