@@ -72,13 +72,13 @@ func TestVoutOrderingAtModerateLoad(t *testing.T) {
 }
 
 func TestIccmaxPropagates(t *testing.T) {
-	if NewVinVR(45).MaxCurrent() != 45 {
+	if NewVinVR(45).Params().Iccmax != 45 {
 		t.Error("VIN Iccmax")
 	}
-	if NewSmallRailVR("x", 6).MaxCurrent() != 6 {
+	if NewSmallRailVR("x", 6).Params().Iccmax != 6 {
 		t.Error("small rail Iccmax")
 	}
-	if NewPlatformLDO("x", 40).MaxCurrent() != 40 {
+	if NewPlatformLDO("x", 40).Params().Iccmax != 40 {
 		t.Error("LDO Iccmax")
 	}
 }

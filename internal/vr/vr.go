@@ -1,7 +1,8 @@
 // Package vr models the voltage regulators that compose the power delivery
 // networks studied in the FlexWatts paper (§2.2): switching VRs (buck
-// converters, used both on the motherboard and integrated on die as IVRs),
-// low-dropout (LDO) linear regulators, and power gates.
+// converters, used both on the motherboard and integrated on die as IVRs)
+// and low-dropout (LDO) linear regulators. Power-gate physics lives with
+// the guardband arithmetic in internal/loadline.
 //
 // The paper drives its ETEE models with measured efficiency curves
 // η(Vin, Vout, Iout, power-state) (Fig 3, Table 2). Real hardware is not
@@ -20,11 +21,15 @@
 // parameters for each concrete regulator are calibrated so the resulting
 // curves land in the ranges the paper reports: off-chip 72–93 %, IVR
 // 81–88 %, LDO ≈ (Vout/Vin)·99.1 %.
+//
+// The buck loss model has one implementation, BuckOp (compile.go): a
+// Buck compiled for one (Vin, power state) pair. Buck.Efficiency compiles
+// the operating point's pair and evaluates it; the PDN kernels compile
+// each regulator's states once per model and reuse them.
 package vr
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/units"
 )
@@ -59,30 +64,12 @@ type OperatingPoint struct {
 }
 
 // Regulator is the common interface of every VR model. Efficiency returns
-// the power-conversion efficiency η = Pout/Pin at the operating point;
-// InputPower returns the power drawn from the regulator's input for a given
-// output power at the point's voltages.
+// the power-conversion efficiency η = Pout/Pin at the operating point.
 type Regulator interface {
 	// Name identifies the regulator instance (e.g. "V_IN", "IVR_Core0").
 	Name() string
 	// Efficiency returns η in (0, 1] for the operating point.
 	Efficiency(op OperatingPoint) float64
-	// MaxCurrent returns the electrical design limit Iccmax of the part.
-	MaxCurrent() units.Amp
-}
-
-// InputPower converts an output power demand into input power using the
-// regulator's efficiency at the implied operating point. Zero output power
-// in a non-standby state still pays the regulator's fixed losses, which is
-// modeled by evaluating the efficiency at a small keep-alive current.
-func InputPower(r Regulator, vin, vout units.Volt, pout units.Watt, ps PowerState) units.Watt {
-	units.CheckNonNegative("pout", pout)
-	if pout == 0 {
-		return 0
-	}
-	iout := pout / vout
-	eta := r.Efficiency(OperatingPoint{Vin: vin, Vout: vout, Iout: iout, State: ps})
-	return pout / eta
 }
 
 // BuckParams parameterizes the switching-VR loss model. All power terms are
@@ -167,90 +154,15 @@ func NewBuck(name string, p BuckParams) *Buck {
 // Name implements Regulator.
 func (b *Buck) Name() string { return b.name }
 
-// MaxCurrent implements Regulator.
-func (b *Buck) MaxCurrent() units.Amp { return b.params.Iccmax }
-
 // Params returns the loss-model parameters (a copy).
 func (b *Buck) Params() BuckParams { return b.params }
 
-// phases returns the number of active phases for a load current under the
-// phase-shedding policy: enough phases to keep per-phase current at or below
-// PhaseCurrent, capped at MaxPhases. Light-load power states force a single
-// phase.
-func (b *Buck) phases(iout units.Amp, ps PowerState) int {
-	if ps >= PS1 {
-		return 1
-	}
-	n := int(math.Ceil(iout / b.params.PhaseCurrent))
-	if n < 1 {
-		n = 1
-	}
-	if n > b.params.MaxPhases {
-		n = b.params.MaxPhases
-	}
-	return n
-}
-
-// Loss returns the total conversion loss in watts at the operating point.
-func (b *Buck) Loss(op OperatingPoint) units.Watt { return b.loss(&op) }
-
-// loss is the pointer-argument form Efficiency uses on the hot path (one
-// OperatingPoint copy per call adds up across millions of evaluations).
-func (b *Buck) loss(op *OperatingPoint) units.Watt {
-	p := b.params
-	var fixed, sw units.Watt
-	if op.State >= PS1 {
-		fixed = p.PControlLight
-		sw = p.KSwitch * op.Vin * op.Vin / p.LightSwitchDiv
-		// Deeper states duty-cycle the regulator further.
-		if op.State >= PS3 {
-			sw /= 4
-			fixed /= 2
-		}
-	} else {
-		fixed = p.PControl
-		sw = p.KSwitch * op.Vin * op.Vin
-	}
-	n := b.phases(op.Iout, op.State)
-	rEff := p.RSeries / float64(n)
-	ovl := p.KOverlap * op.Vin * op.Iout
-	duty := 0.0
-	if op.Vin > 0 {
-		duty = units.Clamp(op.Vout/op.Vin, 0, 1)
-	}
-	dt := p.VDeadTime * (1 - duty) * op.Iout
-	drv := p.KDriver * op.Iout
-	cond := rEff * op.Iout * op.Iout
-	// Headroom penalty: a buck cannot regulate with the output close to
-	// the input (§2.2: SVRs "require a large difference in the
-	// input/output voltage levels"). Past ~85% duty the minimum off-time
-	// forces cycle skipping and the conversion degrades sharply.
-	var head units.Watt
-	if duty > maxBuckDuty {
-		head = headroomLossK * op.Vout * op.Iout * (duty - maxBuckDuty) / (1 - maxBuckDuty)
-	}
-	return fixed + sw + ovl + dt + drv + cond + head
-}
-
-// Buck headroom constants: regulation degrades beyond 85% duty cycle, with
-// the penalty reaching headroomLossK of the output power at 100% duty.
-const (
-	maxBuckDuty   = 0.85
-	headroomLossK = 0.25
-)
-
 // Efficiency implements Regulator. It returns Pout/(Pout+Ploss) bounded
-// below by EtaFloor.
+// below by EtaFloor, evaluating the loss model compiled for the operating
+// point's input voltage and power state.
 func (b *Buck) Efficiency(op OperatingPoint) float64 {
-	if op.Iout <= 0 {
-		return b.params.EtaFloor
-	}
-	pout := op.Vout * op.Iout
-	eta := pout / (pout + b.loss(&op))
-	if eta < b.params.EtaFloor {
-		eta = b.params.EtaFloor
-	}
-	return eta
+	o := b.Compile(op.Vin, op.State)
+	return o.Efficiency(op.Vout, op.Iout)
 }
 
 // LDOParams parameterizes the low-dropout linear regulator model.
@@ -293,9 +205,6 @@ func NewLDO(name string, p LDOParams) *LDO {
 // Name implements Regulator.
 func (l *LDO) Name() string { return l.name }
 
-// MaxCurrent implements Regulator.
-func (l *LDO) MaxCurrent() units.Amp { return l.params.Iccmax }
-
 // Params returns the model parameters (a copy).
 func (l *LDO) Params() LDOParams { return l.params }
 
@@ -312,33 +221,3 @@ func (l *LDO) Efficiency(op OperatingPoint) float64 {
 	}
 	return op.Vout / op.Vin * l.params.CurrentEfficiency
 }
-
-// PowerGate models the on-chip switch that disconnects an idle domain. When
-// conducting it contributes a series impedance (1–2 mΩ per Table 2) that the
-// guardband model turns into extra supply voltage; this type only carries
-// the impedance and design limit.
-type PowerGate struct {
-	name      string
-	impedance units.Ohm
-	iccmax    units.Amp
-}
-
-// NewPowerGate constructs a power gate with the given series impedance.
-func NewPowerGate(name string, impedance units.Ohm, iccmax units.Amp) *PowerGate {
-	units.CheckPositive("impedance", impedance)
-	units.CheckPositive("iccmax", iccmax)
-	return &PowerGate{name: name, impedance: impedance, iccmax: iccmax}
-}
-
-// Name returns the gate's name.
-func (g *PowerGate) Name() string { return g.name }
-
-// Impedance returns the series resistance of the conducting gate.
-func (g *PowerGate) Impedance() units.Ohm { return g.impedance }
-
-// MaxCurrent returns the gate's design limit.
-func (g *PowerGate) MaxCurrent() units.Amp { return g.iccmax }
-
-// Drop returns the voltage drop across the conducting gate at the given
-// current.
-func (g *PowerGate) Drop(i units.Amp) units.Volt { return g.impedance * i }

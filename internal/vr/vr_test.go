@@ -4,8 +4,6 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
-
-	"repro/internal/units"
 )
 
 func testBuck() *Buck { return NewVinVR(45) }
@@ -152,27 +150,6 @@ func TestLDOEfficiencyProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestPowerGate(t *testing.T) {
-	g := NewPowerGate("pg", units.MilliOhm(1.5), 40)
-	if got := g.Drop(10); math.Abs(got-0.015) > 1e-12 {
-		t.Errorf("Drop(10A) = %g, want 15mV", got)
-	}
-	if g.Impedance() != 0.0015 || g.MaxCurrent() != 40 || g.Name() != "pg" {
-		t.Error("accessor mismatch")
-	}
-}
-
-func TestInputPower(t *testing.T) {
-	b := testBuck()
-	if got := InputPower(b, 7.2, 1.0, 0, PS0); got != 0 {
-		t.Errorf("zero output power should draw zero, got %g", got)
-	}
-	pin := InputPower(b, 7.2, 1.0, 10, PS0)
-	if !(pin > 10) {
-		t.Errorf("input power %g must exceed output 10", pin)
 	}
 }
 
