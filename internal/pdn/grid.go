@@ -10,42 +10,38 @@ import (
 	"repro/internal/vr"
 )
 
-// This file implements the batch evaluation path: a struct-of-arrays
-// scenario Grid plus one EvaluateGrid kernel per model type (IVR, MBVR and
-// the split-rail model, which also runs FlexWatts' two modes) that hoists
-// per-model invariants out of the inner loop. The contract with the scalar
-// path is bitwise identity: for every point i, EvaluateGrid writes the
-// exact float64 bits Evaluate(g.At(i)) returns, and fails with the exact
-// error Evaluate would return (wrapped with the point index). That bound —
-// ε = 0, not an approximation tolerance — is what lets the grid path share
-// the memoizing sweep cache and keep the experiment goldens byte-identical.
-// It holds because every hoisted computation is either the same pure
-// function evaluated once and replayed (stage memos, compiled vr.BuckOp
-// constants that are prefixes of the scalar left-associative expressions),
-// or the very same code path (loadline, validation, finishResult) reading
-// the same values from columnar instead of struct storage.
+// This file implements the PDN models' one power flow: a struct-of-arrays
+// scenario Grid and the runners each model's kernel block is assembled
+// from (the IVR and LDO stages, the V_IN rail and the one-stage board
+// rails), each following the equations of paper §3.1. Evaluate runs a
+// model's block on a one-point grid whose columns live on the caller's
+// stack; EvaluateGrid runs it over gridMaskBlock-point blocks; Validate
+// runs the block's validator on one point. oracle_test.go freezes the
+// scalar code these runners replaced, and the tests pin every kernel to it
+// bit for bit, errors included.
 //
-// Three invariant classes are hoisted:
+// Three invariant classes are hoisted out of the per-point work:
 //
 //   - compiled VR operating points (vr.BuckStates): the per-(Vin, power
-//     state) terms of the buck loss model, compiled once per grid (on-chip
-//     VRs have a fixed input rail) or once per distinct PSU voltage
-//     (off-chip VRs), replacing the per-point BuckParams copy and branch
-//     tree that dominate the scalar profile;
-//   - stage-output memos: the guardband+VR work of ivrStage/ldoStage
+//     state) terms of the buck loss model, compiled when a model is built
+//     — on-chip IVRs at their fixed input rail, board VRs at Params.PSU (a
+//     point at another PSU compiles only the state it selects);
+//   - stage-output memos: the guardband+VR work of the IVR and LDO stages
 //     depends on (PNom, VNom, FL) per domain — the application ratio AR
 //     enters only the peak-power accumulator — so across grid runs where
 //     only AR varies (load-generator batches, AR sweeps) the stage replays
 //     stored per-domain outputs and recomputes just the peak sum;
-//   - whole-rail memos: a boardRail whose loads, package state and PSU
+//   - whole-rail memos: a board rail whose loads, package state and PSU
 //     repeat (the SA/IO rails, whose power is constant across TDP grids)
 //     returns its stored output wholesale.
 //
-// The runners read grid columns in place — no per-point Scenario is ever
-// materialized on the hot path (assembling one is a ~200-byte gather that
-// costs as much as the arithmetic it feeds). The memos are depth-1
-// (previous point) and live in per-call stack state, so EvaluateGrid is
-// safe for concurrent use and allocates nothing per point.
+// A memo hit replays bits a full computation produced from bit-identical
+// inputs, so it returns exactly what the full path would. The runners read
+// grid columns in place — no per-point Scenario is ever materialized on
+// the hot path (assembling one is a ~200-byte gather that costs as much as
+// the arithmetic it feeds). The memos are depth-1 (previous point) and live
+// in per-call stack state, so evaluation is safe for concurrent use and
+// allocates nothing.
 
 // Grid is a batch of evaluation scenarios in struct-of-arrays layout:
 // one parallel slice per load field per domain, plus per-point package
@@ -154,19 +150,6 @@ const (
 // mask buffer is a stack array of this size, keeping EvaluateGrid
 // allocation-free for grids of any length.
 const gridMaskBlock = 1024
-
-// kindsMask returns the AR-free change bits for a runner's load set,
-// optionally with the matching AR bits.
-func kindsMask(kinds []domain.Kind, withAR bool) uint16 {
-	var m uint16
-	for _, k := range kinds {
-		m |= 1 << k
-		if withAR {
-			m |= 1 << (gridMaskARShift + uint(k))
-		}
-	}
-	return m
-}
 
 // ChangeMasks fills masks[j] with the change bits of point lo+j relative to
 // point lo+j-1 (masks[0] is zero when lo is 0: the first point has no
@@ -367,24 +350,107 @@ func (g *Grid) View(lo, hi int) Grid {
 	return v
 }
 
-// Kind-set constants for the kernel runners: which domains feed each stage
-// or rail, in the exact iteration order of the scalar models. Package-level
-// so constructing a runner allocates nothing.
+// pointGrid is the stack state of one Evaluate call: a one-point grid's
+// columns, its change mask (zero: the point has no predecessor) and its
+// result slot.
+type pointGrid struct {
+	pnom   [domain.NumKinds][1]units.Watt
+	vnom   [domain.NumKinds][1]units.Volt
+	fl     [domain.NumKinds][1]float64
+	ar     [domain.NumKinds][1]float64
+	cstate [1]domain.CState
+	psu    [1]units.Volt
+	mask   [1]uint16
+	out    [1]Result
+}
+
+// of copies s into p's columns and returns a one-point grid over them.
+func (p *pointGrid) of(s *Scenario) Grid {
+	g := Grid{n: 1, cstate: p.cstate[:], psu: p.psu[:]}
+	for k := range s.Loads {
+		l := &s.Loads[k]
+		p.pnom[k][0], p.vnom[k][0], p.fl[k][0], p.ar[k][0] = l.PNom, l.VNom, l.FL, l.AR
+		g.pnom[k], g.vnom[k], g.fl[k], g.ar[k] = p.pnom[k][:], p.vnom[k][:], p.fl[k][:], p.ar[k][:]
+	}
+	p.cstate[0], p.psu[0] = s.CState, s.PSU
+	return g
+}
+
+// startGrid checks and zeroes an EvaluateGrid call's result block.
+func startGrid(g *Grid, out []Result) error {
+	if err := CheckGridOut(g, out); err != nil {
+		return err
+	}
+	clearResults(out[:g.Len()])
+	return nil
+}
+
+// blockMasks fills buf with the change masks of the gridMaskBlock-point
+// block starting at base, truncated to the grid's end, and returns them.
+func (g *Grid) blockMasks(base int, buf *[gridMaskBlock]uint16) []uint16 {
+	masks := buf[:min(g.n-base, gridMaskBlock)]
+	g.ChangeMasks(base, masks)
+	return masks
+}
+
+// kindSet is the load set a stage or rail runner serves, in iteration
+// order, with its change-mask bits: free flags the set's AR-free load
+// fields, ar its application ratios.
+type kindSet struct {
+	kinds    []domain.Kind
+	free, ar uint16
+}
+
+func newKindSet(kinds ...domain.Kind) kindSet {
+	ks := kindSet{kinds: kinds}
+	for _, k := range kinds {
+		ks.free |= 1 << k
+		ks.ar |= 1 << (gridMaskARShift + uint(k))
+	}
+	return ks
+}
+
+// The runners' load sets. Package-level so constructing a runner
+// allocates nothing.
 var (
-	gridAllKinds     = []domain.Kind{domain.Core0, domain.Core1, domain.LLC, domain.GFX, domain.SA, domain.IO}
-	gridComputeKinds = []domain.Kind{domain.Core0, domain.Core1, domain.LLC, domain.GFX}
-	gridCoresKinds   = []domain.Kind{domain.Core0, domain.Core1}
-	gridGfxKinds     = []domain.Kind{domain.GFX, domain.LLC}
-	gridSAKinds      = []domain.Kind{domain.SA}
-	gridIOKinds      = []domain.Kind{domain.IO}
+	gridAllKinds     = newKindSet(domain.Core0, domain.Core1, domain.LLC, domain.GFX, domain.SA, domain.IO)
+	gridComputeKinds = newKindSet(domain.Core0, domain.Core1, domain.LLC, domain.GFX)
+	gridCoresKinds   = newKindSet(domain.Core0, domain.Core1)
+	gridGfxKinds     = newKindSet(domain.GFX, domain.LLC)
+	gridSAKinds      = newKindSet(domain.SA)
+	gridIOKinds      = newKindSet(domain.IO)
 )
 
-// ivrStageRun evaluates ivrStage over grid points with the IVR compiled at
-// the fixed input rail and a previous-point stage memo keyed by the change
-// masks. Construct one per EvaluateGrid call (it is cheap, stack-sized
-// state); it is not safe for concurrent use.
+// stageOut is the result of an on-chip conversion stage for a group of
+// domains feeding a shared input rail.
+type stageOut struct {
+	// PIn is the power drawn from the shared rail (PIN in Fig 1).
+	PIn units.Watt
+	// AR is the group's effective application ratio (PIN / PINpeak).
+	AR float64
+	// Breakdown accumulates guardband and on-chip VR losses.
+	Breakdown Breakdown
+}
+
+// railOut is the result of carrying a rail's power across its load-line and
+// through its off-chip VR to the PSU.
+type railOut struct {
+	// PIn is the power drawn from the PSU.
+	PIn units.Watt
+	// Breakdown holds the load-line conduction loss and off-chip VR loss.
+	Breakdown Breakdown
+	// Rail describes the electrical demand on the off-chip VR.
+	Rail RailDraw
+}
+
+// ivrStageRun applies Eq. 2 and Eq. 6 to each active load of its set:
+// tolerance-band guardband followed by the domain's integrated VR loss,
+// with all IVRs fed from the V_IN rail whose states the model compiled. It
+// serves all six domains in the IVR PDN and the compute domains in I+MBVR
+// and FlexWatts' IVR-Mode, with a previous-point stage memo keyed by the
+// change masks. Not safe for concurrent use.
 type ivrStageRun struct {
-	states vr.BuckStates
+	states *vr.BuckStates
 	tob    units.Volt
 	kinds  []domain.Kind
 	need   uint16 // AR-free bits of kinds + package state
@@ -396,25 +462,25 @@ type ivrStageRun struct {
 	out   stageOut // PIn + Breakdown of the memoized point; AR unset
 }
 
-// newIVRStageRun compiles ivr at the vin rail for all power states.
-func newIVRStageRun(ivr *vr.Buck, kinds []domain.Kind, tob, vin units.Volt) ivrStageRun {
+// newIVRStageRun returns a runner for the given load set over the IVRs
+// compiled at the V_IN rail.
+func newIVRStageRun(states *vr.BuckStates, ks kindSet, tob units.Volt) ivrStageRun {
 	return ivrStageRun{
-		states: ivr.CompileStates(vin),
+		states: states,
 		tob:    tob,
-		kinds:  kinds,
-		need:   kindsMask(kinds, false) | gridMaskCState,
+		kinds:  ks.kinds,
+		need:   ks.free | gridMaskCState,
 	}
 }
 
-// evalInto writes exactly ivrStage(loads, ivr, tob, vin, cstate) for point i
-// of the grid into *dst, over the runner's load set; m is point i's change
-// mask. The out-parameter form spares the kernel loop a stageOut copy per
-// point.
+// evalInto writes the stage output for point i of the grid into *dst; m
+// is point i's change mask. The out-parameter form spares the kernel loop
+// a stageOut copy per point.
 func (r *ivrStageRun) evalInto(dst *stageOut, g *Grid, i int, m uint16) {
 	if r.valid && m&r.need == r.need {
 		// Only AR changed: the stored per-domain outputs are bit-identical,
 		// so replay them and recompute the peak sum with the current ARs in
-		// the scalar accumulation order.
+		// the full path's accumulation order.
 		*dst = r.out
 		var ppeak units.Watt
 		for _, k := range r.act[:r.nact] {
@@ -458,10 +524,13 @@ func (r *ivrStageRun) evalInto(dst *stageOut, g *Grid, i int, m uint16) {
 	*dst = out
 }
 
-// ldoStageRun evaluates ldoStage over grid points with a previous-point
-// stage memo keyed by the change masks (the LDO efficiency is state-free,
-// so the memo needs the AR-free load bits alone). Not safe for concurrent
-// use.
+// ldoStageRun applies Eq. 2 and Eq. 10/11 to the compute domains: the
+// shared input rail is set to the maximum domain voltage, the
+// highest-voltage domain's LDO runs in bypass, and the others regulate down
+// (paying the voltage-ratio efficiency). It serves the LDO PDN and
+// FlexWatts' LDO-Mode, with a previous-point stage memo keyed by the change
+// masks (the LDO efficiency is state-free, so the memo needs the AR-free
+// load bits alone). Not safe for concurrent use.
 type ldoStageRun struct {
 	ldo   *vr.LDO
 	tob   units.Volt
@@ -477,13 +546,12 @@ type ldoStageRun struct {
 }
 
 // newLDOStageRun returns a runner for the given compute load set.
-func newLDOStageRun(ldo *vr.LDO, kinds []domain.Kind, tob units.Volt) ldoStageRun {
-	return ldoStageRun{ldo: ldo, tob: tob, kinds: kinds, need: kindsMask(kinds, false)}
+func newLDOStageRun(ldo *vr.LDO, ks kindSet, tob units.Volt) ldoStageRun {
+	return ldoStageRun{ldo: ldo, tob: tob, kinds: ks.kinds, need: ks.free}
 }
 
-// evalInto writes exactly ldoStage(loads, ldo, tob) for point i of the grid
-// into *dst, over the runner's load set, returning the stage input voltage;
-// m is point i's change mask.
+// evalInto writes the stage output for point i of the grid into *dst and
+// returns the rail voltage it chose; m is point i's change mask.
 func (r *ldoStageRun) evalInto(dst *stageOut, g *Grid, i int, m uint16) units.Volt {
 	if r.valid && m&r.need == r.need {
 		*dst = r.out
@@ -513,6 +581,8 @@ func (r *ldoStageRun) evalInto(dst *stageOut, g *Grid, i int, m uint16) units.Vo
 		dst.AR = 1
 		return 0
 	}
+	// The rail itself needs the tolerance-band margin once; domains then
+	// regulate (or bypass) from the raised rail.
 	vin += r.tob
 	var out stageOut
 	var ppeak units.Watt
@@ -539,64 +609,57 @@ func (r *ldoStageRun) evalInto(dst *stageOut, g *Grid, i int, m uint16) units.Vo
 	return vin
 }
 
-// offChipRun runs one off-chip VR over grid points with its operating
-// points compiled per distinct PSU voltage. Not safe for concurrent use.
-type offChipRun struct {
-	b      *vr.Buck
+// offChipVR is a motherboard buck VR with its power states compiled at
+// Params.PSU when the model is built.
+type offChipVR struct {
+	buck   *vr.Buck
 	psu    units.Volt
 	states vr.BuckStates
-	ready  bool
 }
 
-// offChip mirrors offChipInput with the compiled operating points,
-// recompiling only when the PSU voltage changes between points.
-func (r *offChipRun) offChip(psu, vout units.Volt, p units.Watt, c domain.CState) (pin, loss units.Watt) {
+func newOffChipVR(b *vr.Buck, psu units.Volt) offChipVR {
+	return offChipVR{buck: b, psu: psu, states: b.CompileStates(psu)}
+}
+
+// input runs the VR stage: given power p delivered at rail voltage vout,
+// it returns the power drawn from a psu-volt supply and the conversion
+// loss, selecting the VR power state per the package state. A psu other
+// than the compiled one compiles just the selected state.
+func (v *offChipVR) input(psu, vout units.Volt, p units.Watt, c domain.CState) (pin, loss units.Watt) {
 	if p == 0 {
 		return 0, 0
 	}
-	if !r.ready || r.psu != psu {
-		r.states = r.b.CompileStates(psu)
-		r.psu = psu
-		r.ready = true
-	}
 	iout := p / vout
-	eta := r.states.Efficiency(VRStateFor(c, iout), vout, iout)
+	ps := VRStateFor(c, iout)
+	var eta float64
+	if psu == v.psu {
+		eta = v.states.Efficiency(ps, vout, iout)
+	} else {
+		op := v.buck.Compile(psu, ps)
+		eta = op.Efficiency(vout, iout)
+	}
 	pin = p / eta
 	return pin, pin - p
 }
 
-// vinRailRun evaluates vinRail over grid points.
-type vinRailRun struct{ offChipRun }
-
-// addFrom accumulates another breakdown through a pointer — the same
-// field-wise additions as Add, without copying the 48-byte operand.
-func (b *Breakdown) addFrom(o *Breakdown) {
-	b.Guardband += o.Guardband
-	b.PowerGate += o.PowerGate
-	b.OnChipVR += o.OnChipVR
-	b.OffChipVR += o.OffChipVR
-	b.CondCompute += o.CondCompute
-	b.CondUncore += o.CondUncore
-}
-
-// evalInto accumulates exactly vinRail(b, st, vin, rll, psu, c,
-// computeShare) into the caller's breakdown and rail set, returning the
-// rail's PSU draw. Each breakdown field is one `+=` of the same term the
-// standalone railOut form stored — the very additions Breakdown.Add would
-// perform — so accumulating in place carries identical float64 bits while
-// sparing the kernel loop a railOut build, copy and Add per point.
-func (r *vinRailRun) evalInto(st *stageOut, vin units.Volt, rll units.Ohm, psu units.Volt, c domain.CState, computeShare float64, bd *Breakdown, rails *RailSet) units.Watt {
+// vinRail carries a shared on-chip rail st (a stage output at voltage vin)
+// across the input load-line (Eq. 7/8) and the first-stage VR (Eq. 9/12
+// first term), accumulating its losses and rail draw into the caller's
+// breakdown and rail set and returning its PSU draw. computeShare is the
+// fraction of the conduction loss the Fig 5 breakdown attributes to the
+// compute path (1 when the rail feeds only compute domains).
+func (v *offChipVR) vinRail(st *stageOut, vin units.Volt, rll units.Ohm, psu units.Volt, c domain.CState, computeShare float64, bd *Breakdown, rails *RailSet) units.Watt {
 	if st.PIn == 0 {
-		rails.Append(RailDraw{Name: r.b.Name(), VOut: vin})
+		rails.Append(RailDraw{Name: v.buck.Name(), VOut: vin})
 		return 0
 	}
 	ll := loadline.Compensate(st.PIn, vin, st.AR, rll)
 	bd.CondCompute += ll.Loss * computeShare
 	bd.CondUncore += ll.Loss * (1 - computeShare)
-	pin, loss := r.offChip(psu, ll.V, ll.P, c)
+	pin, loss := v.input(psu, ll.V, ll.P, c)
 	bd.OffChipVR += loss
 	rails.Append(RailDraw{
-		Name:    r.b.Name(),
+		Name:    v.buck.Name(),
 		VOut:    ll.V,
 		Current: ll.I,
 		Peak:    st.PIn / st.AR / vin,
@@ -604,17 +667,21 @@ func (r *vinRailRun) evalInto(st *stageOut, vin units.Volt, rll units.Ohm, psu u
 	return pin
 }
 
-// boardRailRun evaluates boardRail over grid points with the off-chip VR
-// compiled per distinct PSU voltage and two memo tiers keyed on the change
-// masks: a whole-rail memo — when the rail's loads (AR included), the
-// package state and the PSU all repeat (the SA/IO rails across a TDP or AR
-// sweep) the stored output is returned wholesale on a single mask test —
-// and a free-field memo that keeps the rail voltage and per-load
-// guardbanded powers (functions of PNom/VNom/FL only) across AR-innermost
-// sweeps, where every point invalidates the whole-rail tier but not the
-// guardband work. Not safe for concurrent use.
+// boardRailRun serves a group of domains directly from a one-stage
+// motherboard VR (the MBVR pattern, Eq. 2–5): per-domain tolerance
+// guardband, scaling to the shared rail voltage (domains needing less than
+// the rail voltage still receive it), power-gate drop compensation, group
+// load-line, and the off-chip VR; compute selects which Fig 5
+// conduction-loss bucket the load-line loss lands in. It keeps two memo
+// tiers keyed on the change masks: a whole-rail memo — when the rail's
+// loads (AR included), the package state and the PSU all repeat (the SA/IO
+// rails across a TDP or AR sweep) the stored output is returned wholesale
+// on a single mask test — and a free-field memo that keeps the rail
+// voltage and per-load guardbanded powers (functions of PNom/VNom/FL only)
+// across AR-innermost sweeps, where every point invalidates the whole-rail
+// tier but not the guardband work. Not safe for concurrent use.
 type boardRailRun struct {
-	offChipRun
+	reg      *offChipVR
 	kinds    []domain.Kind
 	tob      units.Volt
 	rpg      units.Ohm
@@ -639,26 +706,22 @@ type boardRailRun struct {
 }
 
 // newBoardRailRun returns a runner for one motherboard rail.
-func newBoardRailRun(b *vr.Buck, kinds []domain.Kind, tob units.Volt, rpg, rll units.Ohm, compute bool) boardRailRun {
+func newBoardRailRun(reg *offChipVR, ks kindSet, tob units.Volt, rpg, rll units.Ohm, compute bool) boardRailRun {
 	return boardRailRun{
-		offChipRun: offChipRun{b: b},
-		kinds:      kinds, tob: tob, rpg: rpg, rll: rll, compute: compute,
-		need:     kindsMask(kinds, true) | gridMaskCState | gridMaskPSU,
-		freeNeed: kindsMask(kinds, false),
+		reg: reg, kinds: ks.kinds, tob: tob, rpg: rpg, rll: rll, compute: compute,
+		need:     ks.free | ks.ar | gridMaskCState | gridMaskPSU,
+		freeNeed: ks.free,
 	}
 }
 
-// evalPoint computes the rail's full output for point i into r.out,
-// exactly as the scalar boardRail does for r.kinds' loads. When the mask
-// says every load's AR-free columns repeat, the free-field memo replays
-// the rail voltage and per-load guardbanded powers instead of recomputing
-// them — those are pure functions of the unchanged PNom/VNom/FL bits, so
-// the replayed values are the bits the calls would produce. Within a
-// point, consecutive active loads with identical guardbanded power, FL
-// and AR share one power-gate solve for the same reason: identical
-// argument bits into the same pure function. Every accumulation below
-// (+= per field, per load, in domain order) is the scalar loop's own
-// sequence, so the result carries identical float64 bits.
+// evalPoint computes the rail's full output for point i into r.out. When
+// the mask says every load's AR-free columns repeat, the free-field memo
+// replays the rail voltage and per-load guardbanded powers instead of
+// recomputing them — those are pure functions of the unchanged
+// PNom/VNom/FL bits, so the replayed values are the bits the calls would
+// produce. Within a point, consecutive active loads with identical
+// guardbanded power, FL and AR share one power-gate solve for the same
+// reason: identical argument bits into the same pure function.
 func (r *boardRailRun) evalPoint(g *Grid, i int, m uint16) {
 	if !r.fvalid || m&r.freeNeed != r.freeNeed {
 		r.fvalid = false
@@ -677,6 +740,9 @@ func (r *boardRailRun) evalPoint(g *Grid, i int, m uint16) {
 					continue
 				}
 				pgb := loadline.ApplyGuardband(pnom, vnom, r.tob, fl)
+				// Rail sharing: a domain whose nominal voltage is below
+				// the rail voltage runs over-volted; Eq. 2 gives the
+				// power inflation.
 				if vnom < railV {
 					pgb = loadline.ApplyGuardband(pgb, vnom+r.tob, railV-vnom, fl)
 				}
@@ -692,7 +758,7 @@ func (r *boardRailRun) evalPoint(g *Grid, i int, m uint16) {
 	}
 	var out railOut
 	if r.railV == 0 {
-		out.Rail = RailDraw{Name: r.b.Name()}
+		out.Rail = RailDraw{Name: r.reg.buck.Name()}
 		r.valid = true
 		r.out = out
 		return
@@ -724,11 +790,11 @@ func (r *boardRailRun) evalPoint(g *Grid, i int, m uint16) {
 	} else {
 		out.Breakdown.CondUncore = ll.Loss
 	}
-	pin, loss := r.offChip(g.psu[i], ll.V, ll.P, g.cstate[i])
+	pin, loss := r.reg.input(g.psu[i], ll.V, ll.P, g.cstate[i])
 	out.Breakdown.OffChipVR = loss
 	out.PIn = pin
 	out.Rail = RailDraw{
-		Name:    r.b.Name(),
+		Name:    r.reg.buck.Name(),
 		VOut:    ll.V,
 		Current: ll.I,
 		Peak:    sum / ar / railVT,
@@ -737,12 +803,9 @@ func (r *boardRailRun) evalPoint(g *Grid, i int, m uint16) {
 	r.out = out
 }
 
-// evalInto accumulates exactly boardRail(b, loads, tob, rpg, rll, psu, c,
-// compute) for point i of the grid into the caller's breakdown and rail
-// set, returning the rail's PSU draw; m is point i's change mask. The
-// accumulation performs Breakdown.Add's field additions on the memoized
-// (or freshly computed) rail output, so the bits match the standalone
-// railOut form exactly.
+// evalInto accumulates the rail's output for point i of the grid into the
+// caller's breakdown and rail set, returning the rail's PSU draw; m is
+// point i's change mask.
 func (r *boardRailRun) evalInto(g *Grid, i int, m uint16, bd *Breakdown, rails *RailSet) units.Watt {
 	if !r.valid || m&r.need != r.need {
 		r.evalPoint(g, i, m)
@@ -752,23 +815,19 @@ func (r *boardRailRun) evalInto(g *Grid, i int, m uint16, bd *Breakdown, rails *
 	return r.out.PIn
 }
 
-// evalBlock sweeps the rail over points [base, base+blk), rail-major:
-// each point's breakdown and rail draw accumulate into out[base+j] and the
-// rail's PSU draw adds into pins[j], with the rail's state held hot across
-// consecutive points. Each accumulation performs Breakdown.Add's field
-// additions on the memoized (or freshly computed) rail output, and rail
-// order across evalBlock calls matches the scalar model's rail order per
-// point, so every accumulation sequence (and therefore every bit) is the
-// scalar model's.
-func (r *boardRailRun) evalBlock(g *Grid, base, blk int, masks []uint16, out []Result, pins []units.Watt) {
-	for j := 0; j < blk; j++ {
-		if !r.valid || masks[j]&r.need != r.need {
-			r.evalPoint(g, base+j, masks[j])
+// evalBlock sweeps the rail over the len(masks) points from base,
+// rail-major: each point's breakdown, rail draw and PSU draw accumulate into
+// its result slot, with the rail's state held hot across consecutive
+// points.
+func (r *boardRailRun) evalBlock(g *Grid, base int, masks []uint16, out []Result) {
+	for j, mk := range masks {
+		if !r.valid || mk&r.need != r.need {
+			r.evalPoint(g, base+j, mk)
 		}
 		res := &out[base+j]
 		res.Breakdown.addFrom(&r.out.Breakdown)
 		res.Rails.Append(r.out.Rail)
-		pins[j] += r.out.PIn
+		res.PIn += r.out.PIn
 	}
 }
 
@@ -783,52 +842,10 @@ func CheckGridOut(g *Grid, out []Result) error {
 }
 
 // GridPointError wraps a per-point validation error with its index; the
-// wrapped error is exactly what the scalar Evaluate returns for the point,
-// so errors.Is/As see through the grid framing.
+// wrapped error is exactly what Evaluate returns for the point, so
+// errors.Is/As see through the grid framing.
 func GridPointError(i int, err error) error {
 	return fmt.Errorf("pdn: grid point %d: %w", i, err)
-}
-
-// EvaluateGrid evaluates every grid point into out[:g.Len()], bitwise
-// identical to calling Evaluate per point. It stops at the first invalid
-// point, returning its scalar error wrapped with the point index; results
-// for preceding points remain valid.
-func (m *IVRModel) EvaluateGrid(g *Grid, out []Result) error {
-	if err := CheckGridOut(g, out); err != nil {
-		return err
-	}
-	p := m.params
-	stage := newIVRStageRun(m.ivr, gridAllKinds, p.TOBIVR, p.VINLevel)
-	rail := vinRailRun{offChipRun{b: m.vin}}
-	clearResults(out[:g.Len()])
-	var pt gridPointRun
-	var st stageOut
-	var masks [gridMaskBlock]uint16
-	for base := 0; base < g.Len(); base += gridMaskBlock {
-		blk := g.Len() - base
-		if blk > gridMaskBlock {
-			blk = gridMaskBlock
-		}
-		g.ChangeMasks(base, masks[:blk])
-		for j := 0; j < blk; j++ {
-			i := base + j
-			mk := masks[j]
-			if err := pt.validate(g, i, mk); err != nil {
-				return GridPointError(i, err)
-			}
-			total := pt.total
-			stage.evalInto(&st, g, i, mk)
-			share := 1.0
-			if total > 0 {
-				share = pt.computeP / total
-			}
-			res := &out[i]
-			res.Breakdown = st.Breakdown
-			pin := rail.evalInto(&st, p.VINLevel, p.IVRInLL, g.psu[i], g.cstate[i], share, &res.Breakdown, &res.Rails)
-			finishResult(res, IVR, total, pin, p.IVRInLL)
-		}
-	}
-	return nil
 }
 
 // clearResults zeroes a kernel's result block before evaluation. The
@@ -840,119 +857,4 @@ func clearResults(out []Result) {
 	for i := range out {
 		out[i] = Result{}
 	}
-}
-
-// EvaluateGrid evaluates every grid point into out[:g.Len()], bitwise
-// identical to calling Evaluate per point; see IVRModel.EvaluateGrid for
-// the error contract. The four board rails sweep the block rail-major —
-// one evalBlock pass per rail with that rail's state held hot — instead
-// of cycling all four runners through every point. Per point the pin
-// additions, breakdown additions and rail appends still happen in the
-// scalar model's rail order (cores, gfx, sa, io), so the accumulation
-// sequence, and therefore the bits, match the point-major order exactly.
-func (m *MBVRModel) EvaluateGrid(g *Grid, out []Result) error {
-	if err := CheckGridOut(g, out); err != nil {
-		return err
-	}
-	p := m.params
-	cores := newBoardRailRun(m.cores, gridCoresKinds, p.TOBMBVR, p.RPG, p.CoresLL, true)
-	gfx := newBoardRailRun(m.gfx, gridGfxKinds, p.TOBMBVR, p.RPG, p.GfxLL, true)
-	sa := newBoardRailRun(m.sa, gridSAKinds, p.TOBMBVR, p.RPG, p.SALL, false)
-	io := newBoardRailRun(m.io, gridIOKinds, p.TOBMBVR, p.RPG, p.IOLL, false)
-	clearResults(out[:g.Len()])
-	var pt gridPointRun
-	var masks [gridMaskBlock]uint16
-	var pins [gridMaskBlock]units.Watt
-	var totals [gridMaskBlock]units.Watt
-	for base := 0; base < g.Len(); base += gridMaskBlock {
-		blk := g.Len() - base
-		if blk > gridMaskBlock {
-			blk = gridMaskBlock
-		}
-		g.ChangeMasks(base, masks[:blk])
-		// Validate the block up front: rail-major evaluation finishes every
-		// point of a block before moving on, so an invalid point truncates
-		// the block — points before it still get complete results, matching
-		// the scalar order's stop-at-first-error contract.
-		var verr error
-		vblk := blk
-		for j := 0; j < blk; j++ {
-			if err := pt.validate(g, base+j, masks[j]); err != nil {
-				verr = GridPointError(base+j, err)
-				vblk = j
-				break
-			}
-			totals[j] = pt.total
-			pins[j] = 0
-		}
-		cores.evalBlock(g, base, vblk, masks[:vblk], out, pins[:vblk])
-		gfx.evalBlock(g, base, vblk, masks[:vblk], out, pins[:vblk])
-		sa.evalBlock(g, base, vblk, masks[:vblk], out, pins[:vblk])
-		io.evalBlock(g, base, vblk, masks[:vblk], out, pins[:vblk])
-		for j := 0; j < vblk; j++ {
-			finishResult(&out[base+j], MBVR, totals[j], pins[j], p.CoresLL)
-		}
-		if verr != nil {
-			return verr
-		}
-	}
-	return nil
-}
-
-// EvaluateGrid evaluates every grid point into out[:g.Len()], bitwise
-// identical to calling Evaluate per point; see IVRModel.EvaluateGrid for
-// the error contract. All three rails run point-major: on sweep-shaped
-// grids the SA/IO rails are mostly whole-rail memo hits, and sweeping them
-// rail-major as MBVRModel.EvaluateGrid does only re-reads the result block
-// (measured slower for every split-rail PDN).
-func (m *SplitRailModel) EvaluateGrid(g *Grid, out []Result) error {
-	if err := CheckGridOut(g, out); err != nil {
-		return err
-	}
-	p := &m.params
-	var ivrSt ivrStageRun
-	var ldoSt ldoStageRun
-	if m.ivr != nil {
-		ivrSt = newIVRStageRun(m.ivr, gridComputeKinds, p.TOBIVR, p.VINLevel)
-	} else {
-		ldoSt = newLDOStageRun(m.ldo, gridComputeKinds, p.TOBLDO)
-	}
-	rail := vinRailRun{offChipRun{b: m.vin}}
-	sa := newBoardRailRun(m.sa, gridSAKinds, m.boardTOB, p.RPG, p.SALL, false)
-	io := newBoardRailRun(m.io, gridIOKinds, m.boardTOB, p.RPG, p.IOLL, false)
-	clearResults(out[:g.Len()])
-	var pt gridPointRun
-	var st stageOut
-	var masks [gridMaskBlock]uint16
-	for base := 0; base < g.Len(); base += gridMaskBlock {
-		blk := g.Len() - base
-		if blk > gridMaskBlock {
-			blk = gridMaskBlock
-		}
-		g.ChangeMasks(base, masks[:blk])
-		for j := 0; j < blk; j++ {
-			i := base + j
-			mk := masks[j]
-			if err := pt.validate(g, i, mk); err != nil {
-				return GridPointError(i, err)
-			}
-			vinLevel := p.VINLevel
-			if m.ivr != nil {
-				ivrSt.evalInto(&st, g, i, mk)
-			} else {
-				vinLevel = ldoSt.evalInto(&st, g, i, mk)
-			}
-			res := &out[i]
-			var pin units.Watt
-			if st.PIn > 0 {
-				res.Breakdown.addFrom(&st.Breakdown)
-				pin += rail.evalInto(&st, vinLevel, m.vinLL, g.psu[i], g.cstate[i], 1, &res.Breakdown, &res.Rails)
-			}
-			saP := sa.evalInto(g, i, mk, &res.Breakdown, &res.Rails)
-			ioP := io.evalInto(g, i, mk, &res.Breakdown, &res.Rails)
-			pin += saP + ioP
-			finishResult(res, m.kind, pt.total, pin, m.vinLL)
-		}
-	}
-	return nil
 }

@@ -215,7 +215,7 @@ type namedGridModel struct {
 // TOBLDO ≠ TOBMBVR) the modes differ from I+MBVR and LDO in every
 // constructor-fixed setting, so a kernel that read a baseline's load-line
 // or tolerance band instead of its model's own would show.
-func gridTestModels(t *testing.T, p Params) []namedGridModel {
+func gridTestModels(t testing.TB, p Params) []namedGridModel {
 	t.Helper()
 	var ms []namedGridModel
 	for _, k := range Kinds() {
@@ -233,23 +233,30 @@ func gridTestModels(t *testing.T, p Params) []namedGridModel {
 	return append(ms, namedGridModel{"FlexWatts-IVR-Mode", ivrMode}, namedGridModel{"FlexWatts-LDO-Mode", ldoMode})
 }
 
-// TestEvaluateGridBitwise pins the grid kernels against the scalar models:
-// every Result field of every point must carry identical float64 bits.
+// TestEvaluateGridBitwise pins every kernel against the frozen scalar
+// oracle, under the real and the kernel-test parameters: for every point,
+// EvaluateGrid and Evaluate must both return the oracle's bits in every
+// Result field.
 func TestEvaluateGridBitwise(t *testing.T) {
-	p := gridTestParams()
 	g := GridOf(gridTestScenarios())
 	out := make([]Result, g.Len())
-	for _, nm := range gridTestModels(t, p) {
-		if err := nm.m.EvaluateGrid(g, out); err != nil {
-			t.Fatalf("%s EvaluateGrid: %v", nm.name, err)
-		}
-		for i := 0; i < g.Len(); i++ {
-			want, err := nm.m.Evaluate(g.At(i))
-			if err != nil {
-				t.Fatalf("%s scalar point %d: %v", nm.name, i, err)
+	for _, p := range []Params{DefaultParams(), gridTestParams()} {
+		for _, nm := range gridTestModels(t, p) {
+			if err := nm.m.EvaluateGrid(g, out); err != nil {
+				t.Fatalf("%s EvaluateGrid: %v", nm.name, err)
 			}
-			if out[i] != want {
-				t.Errorf("%s point %d: grid result differs from scalar\n grid:   %+v\n scalar: %+v", nm.name, i, out[i], want)
+			for i := 0; i < g.Len(); i++ {
+				want, err := oracleEvaluate(nm.m, g.At(i))
+				if err != nil {
+					t.Fatalf("%s oracle point %d: %v", nm.name, i, err)
+				}
+				if !sameBits(out[i], want) {
+					t.Errorf("%s point %d: grid result differs from the oracle\n grid:   %+v\n oracle: %+v", nm.name, i, out[i], want)
+				}
+				got, err := nm.m.Evaluate(g.At(i))
+				if err != nil || !sameBits(got, want) {
+					t.Errorf("%s point %d: Evaluate = %+v, %v; oracle %+v", nm.name, i, got, err, want)
+				}
 			}
 		}
 	}

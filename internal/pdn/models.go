@@ -3,9 +3,7 @@ package pdn
 import (
 	"errors"
 	"fmt"
-	"math"
 
-	"repro/internal/domain"
 	"repro/internal/units"
 	"repro/internal/vr"
 )
@@ -15,73 +13,27 @@ var ErrNoLoad = errors.New("pdn: scenario has no active load")
 
 // Validate checks scenario invariants shared by all models: a positive,
 // finite PSU voltage and, per domain, a non-negative finite power and, when
-// active, a positive finite voltage, AR in (0,1] and FL in [0,1]. It takes a
-// pointer because it sits on the per-evaluation hot path and Scenario is a
-// ~200-byte value; the scenario is not modified.
+// active, a positive finite voltage, AR in (0,1] and FL in [0,1]. It runs
+// the kernels' own validator on a one-point grid, so it reports exactly the
+// error Evaluate and EvaluateGrid would. It takes a pointer because Scenario
+// is a ~200-byte value; the scenario is not modified.
 func Validate(s *Scenario) error {
-	if s.PSU <= 0 {
-		return fmt.Errorf("pdn: PSU voltage must be positive, got %g", s.PSU)
-	}
-	if !(s.PSU <= math.MaxFloat64) {
-		return fmt.Errorf("pdn: PSU voltage must be finite, got %g", s.PSU)
-	}
-	active := false
-	for k := range s.Loads {
-		l := s.Loads[k]
-		if l.PNom < 0 {
-			return fmt.Errorf("pdn: %v has negative power %g", domain.Kind(k), l.PNom)
-		}
-		if !(l.PNom <= math.MaxFloat64) {
-			return fmt.Errorf("pdn: %v has non-finite power %g", domain.Kind(k), l.PNom)
-		}
-		if !l.Active() {
-			continue
-		}
-		active = true
-		if l.VNom <= 0 {
-			return fmt.Errorf("pdn: %v active with non-positive voltage %g", domain.Kind(k), l.VNom)
-		}
-		if !(l.VNom <= math.MaxFloat64) {
-			return fmt.Errorf("pdn: %v active with non-finite voltage %g", domain.Kind(k), l.VNom)
-		}
-		if !(l.AR > 0 && l.AR <= 1) {
-			return fmt.Errorf("pdn: %v has AR %g outside (0,1]", domain.Kind(k), l.AR)
-		}
-		if !(l.FL >= 0 && l.FL <= 1) {
-			return fmt.Errorf("pdn: %v has FL %g outside [0,1]", domain.Kind(k), l.FL)
-		}
-	}
-	if !active {
-		return ErrNoLoad
-	}
-	return nil
+	var pg pointGrid
+	g := pg.of(s)
+	var pt gridPointRun
+	return pt.validate(&g, 0, 0)
 }
 
-// finish assembles a Result from accumulated parts, computing ETEE and the
-// total chip input current. pnom is the scenario's total nominal power
-// (Scenario.TotalNominal), which every model already has in hand.
-func finish(kind Kind, pnom units.Watt, pin units.Watt, bd Breakdown, rails RailSet, railR units.Ohm) Result {
-	r := Result{Breakdown: bd, Rails: rails}
-	finishResult(&r, kind, pnom, pin, railR)
-	return r
-}
-
-// finishResult completes a Result whose Breakdown and Rails are already in
-// place: the scalar models through finish, and the grid kernels, which
-// accumulate each point's Breakdown and Rails directly inside their
-// caller's result block (a Result is ~260 bytes, mostly the rail set, and
-// building one on the stack only to copy it out is a measurable fraction
-// of a batch point's budget). Both paths run this arithmetic, so they
-// produce identical bits.
-func finishResult(dst *Result, kind Kind, pnom units.Watt, pin units.Watt, railR units.Ohm) {
+// finishResult completes a result whose Breakdown, Rails, PNomTotal and PIn
+// the kernel has accumulated in place: it computes ETEE and the total chip
+// input current and labels the result.
+func finishResult(dst *Result, kind Kind, railR units.Ohm) {
 	var iin units.Amp
 	for i := 0; i < dst.Rails.n; i++ {
 		iin += dst.Rails.rails[i].Current
 	}
 	dst.PDN = kind
-	dst.PNomTotal = pnom
-	dst.PIn = pin
-	dst.ETEE = pnom / pin
+	dst.ETEE = dst.PNomTotal / dst.PIn
 	dst.ChipInputCurrent = iin
 	dst.ComputeRailR = railR
 }
@@ -90,46 +42,86 @@ func finishResult(dst *Result, kind Kind, pnom units.Watt, pin units.Watt, railR
 // 1.8 V feeding six on-die IVRs, one per domain.
 type IVRModel struct {
 	params Params
-	ivr    *vr.Buck
-	vin    *vr.Buck
+	ivr    vr.BuckStates // the on-die IVRs, compiled at VINLevel
+	vin    offChipVR
 }
 
 // NewIVRModel constructs the IVR PDN with the given parameters.
 func NewIVRModel(p Params) *IVRModel {
 	return &IVRModel{
 		params: p,
-		ivr:    vr.NewIVR("IVR", p.IVRIccmax),
-		vin:    vr.NewVinVR(p.VINIccmax),
+		ivr:    vr.NewIVR("IVR", p.IVRIccmax).CompileStates(p.VINLevel),
+		vin:    newOffChipVR(vr.NewVinVR(p.VINIccmax), p.PSU),
 	}
 }
 
 // Kind implements Model.
 func (m *IVRModel) Kind() Kind { return IVR }
 
+// ivrKernel is the IVR model's runner state for one Evaluate or EvaluateGrid
+// call.
+type ivrKernel struct {
+	m     *IVRModel
+	pt    gridPointRun
+	stage ivrStageRun
+}
+
+func (m *IVRModel) kernel() ivrKernel {
+	return ivrKernel{m: m, stage: newIVRStageRun(&m.ivr, gridAllKinds, m.params.TOBIVR)}
+}
+
 // Evaluate implements Model, following Eq. 2, 6, 7, 8, 9.
 func (m *IVRModel) Evaluate(s Scenario) (Result, error) {
-	if err := Validate(&s); err != nil {
+	var pg pointGrid
+	g := pg.of(&s)
+	k := m.kernel()
+	if _, err := k.block(&g, 0, pg.mask[:], pg.out[:]); err != nil {
 		return Result{}, err
 	}
-	p := m.params
-	var computeP, total units.Watt
-	for k := range s.Loads {
-		total += s.Loads[k].PNom
-		if domain.Kind(k).IsCompute() {
-			computeP += s.Loads[k].PNom
+	return pg.out[0], nil
+}
+
+// EvaluateGrid evaluates every grid point into out[:g.Len()], exactly as
+// Evaluate would per point. It stops at the first invalid point, returning
+// Evaluate's error for it wrapped with the point index; results for
+// preceding points remain valid.
+func (m *IVRModel) EvaluateGrid(g *Grid, out []Result) error {
+	if err := startGrid(g, out); err != nil {
+		return err
+	}
+	k := m.kernel()
+	var masks [gridMaskBlock]uint16
+	for base := 0; base < g.Len(); base += gridMaskBlock {
+		if i, err := k.block(g, base, g.blockMasks(base, &masks), out); err != nil {
+			return GridPointError(i, err)
 		}
 	}
-	st := ivrStage(s.Loads[:], m.ivr, p.TOBIVR, p.VINLevel, s.CState)
-	share := 1.0
-	if total > 0 {
-		share = computeP / total
+	return nil
+}
+
+// block is the IVR power flow: the six domains' IVR stage on the V_IN rail,
+// whose conduction loss splits between the compute and uncore paths by
+// their share of nominal power.
+func (k *ivrKernel) block(g *Grid, base int, masks []uint16, out []Result) (int, error) {
+	p := &k.m.params
+	var st stageOut
+	for j, mk := range masks {
+		i := base + j
+		if err := k.pt.validate(g, i, mk); err != nil {
+			return i, err
+		}
+		k.stage.evalInto(&st, g, i, mk)
+		share := 1.0
+		if total := k.pt.total; total > 0 {
+			share = k.pt.computeP / total
+		}
+		res := &out[i]
+		res.Breakdown = st.Breakdown
+		res.PNomTotal = k.pt.total
+		res.PIn = k.m.vin.vinRail(&st, p.VINLevel, p.IVRInLL, g.psu[i], g.cstate[i], share, &res.Breakdown, &res.Rails)
+		finishResult(res, IVR, p.IVRInLL)
 	}
-	rail := vinRail(m.vin, st, p.VINLevel, p.IVRInLL, s.PSU, s.CState, share)
-	bd := st.Breakdown
-	bd.Add(rail.Breakdown)
-	var rails RailSet
-	rails.Append(rail.Rail)
-	return finish(IVR, total, rail.PIn, bd, rails, p.IVRInLL), nil
+	return 0, nil
 }
 
 // MBVRModel is the motherboard-VR PDN (Fig 1(b)): four one-stage board VRs
@@ -139,46 +131,98 @@ func (m *IVRModel) Evaluate(s Scenario) (Result, error) {
 // it runs at graphics-class voltage, so pairing it with V_GFX avoids
 // over-volting the (low-voltage) cores.
 type MBVRModel struct {
-	params Params
-	cores  *vr.Buck
-	gfx    *vr.Buck
-	sa     *vr.Buck
-	io     *vr.Buck
+	params             Params
+	cores, gfx, sa, io offChipVR
 }
 
 // NewMBVRModel constructs the MBVR PDN.
 func NewMBVRModel(p Params) *MBVRModel {
 	return &MBVRModel{
 		params: p,
-		cores:  vr.NewBoardVR("V_Cores", p.CoresIccmax),
-		gfx:    vr.NewBoardVR("V_GFX", p.GfxIccmax),
-		sa:     vr.NewSmallRailVR("V_SA", p.SAIccmax),
-		io:     vr.NewSmallRailVR("V_IO", p.IOIccmax),
+		cores:  newOffChipVR(vr.NewBoardVR("V_Cores", p.CoresIccmax), p.PSU),
+		gfx:    newOffChipVR(vr.NewBoardVR("V_GFX", p.GfxIccmax), p.PSU),
+		sa:     newOffChipVR(vr.NewSmallRailVR("V_SA", p.SAIccmax), p.PSU),
+		io:     newOffChipVR(vr.NewSmallRailVR("V_IO", p.IOIccmax), p.PSU),
 	}
 }
 
 // Kind implements Model.
 func (m *MBVRModel) Kind() Kind { return MBVR }
 
+// mbvrKernel is the MBVR model's runner state for one Evaluate or
+// EvaluateGrid call.
+type mbvrKernel struct {
+	m                  *MBVRModel
+	pt                 gridPointRun
+	cores, gfx, sa, io boardRailRun
+}
+
+func (m *MBVRModel) kernel() mbvrKernel {
+	p := &m.params
+	return mbvrKernel{
+		m:     m,
+		cores: newBoardRailRun(&m.cores, gridCoresKinds, p.TOBMBVR, p.RPG, p.CoresLL, true),
+		gfx:   newBoardRailRun(&m.gfx, gridGfxKinds, p.TOBMBVR, p.RPG, p.GfxLL, true),
+		sa:    newBoardRailRun(&m.sa, gridSAKinds, p.TOBMBVR, p.RPG, p.SALL, false),
+		io:    newBoardRailRun(&m.io, gridIOKinds, p.TOBMBVR, p.RPG, p.IOLL, false),
+	}
+}
+
 // Evaluate implements Model, following Eq. 2–5 per rail.
 func (m *MBVRModel) Evaluate(s Scenario) (Result, error) {
-	if err := Validate(&s); err != nil {
+	var pg pointGrid
+	g := pg.of(&s)
+	k := m.kernel()
+	if _, err := k.block(&g, 0, pg.mask[:], pg.out[:]); err != nil {
 		return Result{}, err
 	}
-	p := m.params
-	var pin units.Watt
-	var bd Breakdown
-	var rails RailSet
-	coresOut := boardRail(m.cores, []Load{s.Loads[domain.Core0], s.Loads[domain.Core1]}, p.TOBMBVR, p.RPG, p.CoresLL, s.PSU, s.CState, true)
-	gfxOut := boardRail(m.gfx, []Load{s.Loads[domain.GFX], s.Loads[domain.LLC]}, p.TOBMBVR, p.RPG, p.GfxLL, s.PSU, s.CState, true)
-	saOut := boardRail(m.sa, []Load{s.Loads[domain.SA]}, p.TOBMBVR, p.RPG, p.SALL, s.PSU, s.CState, false)
-	ioOut := boardRail(m.io, []Load{s.Loads[domain.IO]}, p.TOBMBVR, p.RPG, p.IOLL, s.PSU, s.CState, false)
-	for _, out := range []railOut{coresOut, gfxOut, saOut, ioOut} {
-		pin += out.PIn
-		bd.Add(out.Breakdown)
-		rails.Append(out.Rail)
+	return pg.out[0], nil
+}
+
+// EvaluateGrid evaluates every grid point into out[:g.Len()], exactly as
+// Evaluate would per point; see IVRModel.EvaluateGrid for the error
+// contract.
+func (m *MBVRModel) EvaluateGrid(g *Grid, out []Result) error {
+	if err := startGrid(g, out); err != nil {
+		return err
 	}
-	return finish(MBVR, s.TotalNominal(), pin, bd, rails, p.CoresLL), nil
+	k := m.kernel()
+	var masks [gridMaskBlock]uint16
+	for base := 0; base < g.Len(); base += gridMaskBlock {
+		if i, err := k.block(g, base, g.blockMasks(base, &masks), out); err != nil {
+			return GridPointError(i, err)
+		}
+	}
+	return nil
+}
+
+// block is the MBVR power flow, swept rail-major — one evalBlock pass per
+// rail with that rail's state held hot — instead of cycling all four
+// runners through every point. Per point the PIn additions, breakdown
+// additions and rail appends still happen in rail order (cores, gfx, sa,
+// io), so the accumulation sequence, and therefore the bits, are the
+// point-major order's.
+func (k *mbvrKernel) block(g *Grid, base int, masks []uint16, out []Result) (int, error) {
+	// Validate the block up front: rail-major evaluation finishes every
+	// point of a block before moving on, so an invalid point truncates the
+	// block, and the points before it still get complete results.
+	n, bad := len(masks), 0
+	var err error
+	for j, mk := range masks {
+		if err = k.pt.validate(g, base+j, mk); err != nil {
+			n, bad = j, base+j
+			break
+		}
+		out[base+j].PNomTotal = k.pt.total
+	}
+	k.cores.evalBlock(g, base, masks[:n], out)
+	k.gfx.evalBlock(g, base, masks[:n], out)
+	k.sa.evalBlock(g, base, masks[:n], out)
+	k.io.evalBlock(g, base, masks[:n], out)
+	for i := base; i < base+n; i++ {
+		finishResult(&out[i], MBVR, k.m.params.CoresLL)
+	}
+	return bad, err
 }
 
 // SplitRailModel is the split-rail PDN: the compute domains (cores, LLC,
@@ -195,13 +239,11 @@ func (m *MBVRModel) Evaluate(s Scenario) (Result, error) {
 //     V_IN load-line scaled by the hybrid's sharing penalty and SA/IO at
 //     the LDO tolerance band (NewFlexWattsModes).
 type SplitRailModel struct {
-	params Params
-	kind   Kind
-	ivr    *vr.Buck // the on-chip stage when non-nil; otherwise ldo
-	ldo    *vr.LDO
-	vin    *vr.Buck
-	sa     *vr.Buck
-	io     *vr.Buck
+	params      Params
+	kind        Kind
+	ldo         *vr.LDO       // the on-chip stage when non-nil; otherwise IVRs
+	ivr         vr.BuckStates // the IVRs compiled at VINLevel, when ldo is nil
+	vin, sa, io offChipVR
 	// vinLL is the V_IN load-line, also reported as ComputeRailR.
 	vinLL units.Ohm
 	// boardTOB is the SA/IO rails' tolerance band.
@@ -214,14 +256,14 @@ func newSplitRail(p Params, kind Kind, withIVR bool, vinLL units.Ohm, boardTOB u
 	m := &SplitRailModel{
 		params:   p,
 		kind:     kind,
-		vin:      vr.NewVinVR(p.VINIccmax),
-		sa:       vr.NewSmallRailVR("V_SA", p.SAIccmax),
-		io:       vr.NewSmallRailVR("V_IO", p.IOIccmax),
+		vin:      newOffChipVR(vr.NewVinVR(p.VINIccmax), p.PSU),
+		sa:       newOffChipVR(vr.NewSmallRailVR("V_SA", p.SAIccmax), p.PSU),
+		io:       newOffChipVR(vr.NewSmallRailVR("V_IO", p.IOIccmax), p.PSU),
 		vinLL:    vinLL,
 		boardTOB: boardTOB,
 	}
 	if withIVR {
-		m.ivr = vr.NewIVR("IVR", p.IVRIccmax)
+		m.ivr = vr.NewIVR("IVR", p.IVRIccmax).CompileStates(p.VINLevel)
 	} else {
 		m.ldo = vr.NewPlatformLDO("LDO", p.IVRIccmax)
 	}
@@ -252,41 +294,92 @@ func NewFlexWattsModes(p Params) (ivrMode, ldoMode *SplitRailModel) {
 // Kind implements Model.
 func (m *SplitRailModel) Kind() Kind { return m.kind }
 
+// splitRailKernel is the split-rail model's runner state for one Evaluate
+// or EvaluateGrid call; one of ivrSt and ldoSt is in use.
+type splitRailKernel struct {
+	m      *SplitRailModel
+	pt     gridPointRun
+	ivrSt  ivrStageRun
+	ldoSt  ldoStageRun
+	sa, io boardRailRun
+}
+
+func (m *SplitRailModel) kernel() splitRailKernel {
+	p := &m.params
+	k := splitRailKernel{
+		m:  m,
+		sa: newBoardRailRun(&m.sa, gridSAKinds, m.boardTOB, p.RPG, p.SALL, false),
+		io: newBoardRailRun(&m.io, gridIOKinds, m.boardTOB, p.RPG, p.IOLL, false),
+	}
+	if m.ldo == nil {
+		k.ivrSt = newIVRStageRun(&m.ivr, gridComputeKinds, p.TOBIVR)
+	} else {
+		k.ldoSt = newLDOStageRun(m.ldo, gridComputeKinds, p.TOBLDO)
+	}
+	return k
+}
+
 // Evaluate implements Model, following Eq. 2, 6 (IVR stage) or 10/11 (LDO
 // stage), 7, 8 and 9/12 on the V_IN path and Eq. 2–5 on the SA/IO rails.
 func (m *SplitRailModel) Evaluate(s Scenario) (Result, error) {
-	if err := Validate(&s); err != nil {
+	var pg pointGrid
+	g := pg.of(&s)
+	k := m.kernel()
+	if _, err := k.block(&g, 0, pg.mask[:], pg.out[:]); err != nil {
 		return Result{}, err
 	}
-	p := &m.params
-	compute := s.Loads[domain.Core0 : domain.GFX+1]
-	var vinLevel units.Volt
-	var st stageOut
-	if m.ivr != nil {
-		vinLevel = p.VINLevel
-		st = ivrStage(compute, m.ivr, p.TOBIVR, vinLevel, s.CState)
-	} else {
-		vinLevel, st = ldoStage(compute, m.ldo, p.TOBLDO)
-	}
+	return pg.out[0], nil
+}
 
-	var pin units.Watt
-	var bd Breakdown
-	var rails RailSet
-	if st.PIn > 0 {
-		rail := vinRail(m.vin, st, vinLevel, m.vinLL, s.PSU, s.CState, 1)
-		pin += rail.PIn
-		bd.Add(st.Breakdown)
-		bd.Add(rail.Breakdown)
-		rails.Append(rail.Rail)
+// EvaluateGrid evaluates every grid point into out[:g.Len()], exactly as
+// Evaluate would per point; see IVRModel.EvaluateGrid for the error
+// contract.
+func (m *SplitRailModel) EvaluateGrid(g *Grid, out []Result) error {
+	if err := startGrid(g, out); err != nil {
+		return err
 	}
-	saOut := boardRail(m.sa, s.Loads[domain.SA:domain.SA+1], m.boardTOB, p.RPG, p.SALL, s.PSU, s.CState, false)
-	ioOut := boardRail(m.io, s.Loads[domain.IO:domain.IO+1], m.boardTOB, p.RPG, p.IOLL, s.PSU, s.CState, false)
-	pin += saOut.PIn + ioOut.PIn
-	bd.Add(saOut.Breakdown)
-	bd.Add(ioOut.Breakdown)
-	rails.Append(saOut.Rail)
-	rails.Append(ioOut.Rail)
-	return finish(m.kind, s.TotalNominal(), pin, bd, rails, m.vinLL), nil
+	k := m.kernel()
+	var masks [gridMaskBlock]uint16
+	for base := 0; base < g.Len(); base += gridMaskBlock {
+		if i, err := k.block(g, base, g.blockMasks(base, &masks), out); err != nil {
+			return GridPointError(i, err)
+		}
+	}
+	return nil
+}
+
+// block is the split-rail power flow. All three rails run point-major: on
+// sweep-shaped grids the SA/IO rails are mostly whole-rail memo hits, and
+// sweeping them rail-major as the MBVR kernel does only re-reads the result
+// block (measured slower for every split-rail PDN).
+func (k *splitRailKernel) block(g *Grid, base int, masks []uint16, out []Result) (int, error) {
+	m := k.m
+	var st stageOut
+	for j, mk := range masks {
+		i := base + j
+		if err := k.pt.validate(g, i, mk); err != nil {
+			return i, err
+		}
+		vinLevel := m.params.VINLevel
+		if m.ldo == nil {
+			k.ivrSt.evalInto(&st, g, i, mk)
+		} else {
+			vinLevel = k.ldoSt.evalInto(&st, g, i, mk)
+		}
+		res := &out[i]
+		var pin units.Watt
+		if st.PIn > 0 {
+			res.Breakdown.addFrom(&st.Breakdown)
+			pin += m.vin.vinRail(&st, vinLevel, m.vinLL, g.psu[i], g.cstate[i], 1, &res.Breakdown, &res.Rails)
+		}
+		saP := k.sa.evalInto(g, i, mk, &res.Breakdown, &res.Rails)
+		ioP := k.io.evalInto(g, i, mk, &res.Breakdown, &res.Rails)
+		pin += saP + ioP
+		res.PNomTotal = k.pt.total
+		res.PIn = pin
+		finishResult(res, m.kind, m.vinLL)
+	}
+	return 0, nil
 }
 
 // New constructs a baseline model of the given kind (not FlexWatts, whose

@@ -6,7 +6,10 @@ import "repro/internal/units"
 // usable; start from DefaultParams.
 type Params struct {
 	// PSU is the battery/PSU voltage feeding the motherboard VRs (7.2–20 V;
-	// 7.2 V matches the measured curves of Fig 3).
+	// 7.2 V matches the measured curves of Fig 3). Each scenario carries its
+	// own supply voltage (Scenario.PSU); the models compile their board VRs
+	// at this one when built, and a scenario at another voltage compiles
+	// the one VR power state it needs per evaluation.
 	PSU units.Volt
 	// VINLevel is the first-stage output in the IVR PDN (typically 1.8 V).
 	VINLevel units.Volt

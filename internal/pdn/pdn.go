@@ -11,6 +11,12 @@
 // power-gate drops, rail-sharing voltage overhead, on-chip VR losses
 // (Eq. 6/10/11), load-line compensation (Eq. 3/4/7/8) and off-chip VR losses
 // (Eq. 5/9/12). The per-category loss breakdown reproduces Fig 5.
+//
+// Each model writes this power flow once, as a kernel over a
+// struct-of-arrays Grid (grid.go). EvaluateGrid runs the kernel over a
+// whole grid; Evaluate runs the same kernel on a one-point grid, so the two
+// return the same bits by construction. Each model compiles its VRs' power
+// states when it is built.
 package pdn
 
 import (
@@ -155,8 +161,8 @@ func (b Breakdown) Total() units.Watt {
 	return b.Guardband + b.PowerGate + b.OnChipVR + b.OffChipVR + b.CondCompute + b.CondUncore
 }
 
-// Add accumulates another breakdown.
-func (b *Breakdown) Add(o Breakdown) {
+// addFrom accumulates another breakdown, field by field.
+func (b *Breakdown) addFrom(o *Breakdown) {
 	b.Guardband += o.Guardband
 	b.PowerGate += o.PowerGate
 	b.OnChipVR += o.OnChipVR
@@ -250,18 +256,4 @@ func VRStateFor(c domain.CState, iout units.Amp) vr.PowerState {
 	default: // C8 and deeper
 		return vr.PS4
 	}
-}
-
-// offChipInput runs an off-chip buck VR stage: given power p delivered at
-// rail voltage vout, it returns the input power drawn from the PSU and the
-// conversion loss, selecting the VR power state per the package state.
-func offChipInput(b *vr.Buck, psu, vout units.Volt, p units.Watt, c domain.CState) (pin, loss units.Watt) {
-	if p == 0 {
-		return 0, 0
-	}
-	iout := p / vout
-	state := VRStateFor(c, iout)
-	eta := b.Efficiency(vr.OperatingPoint{Vin: psu, Vout: vout, Iout: iout, State: state})
-	pin = p / eta
-	return pin, pin - p
 }
