@@ -16,6 +16,7 @@
 package refmodel
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 
@@ -71,11 +72,26 @@ type tone struct {
 	noise float64 // AR(1)-filtered noise state
 }
 
+// gridModel is a PDN model with a batch kernel, such as every pdn model
+// and core.Model.
+type gridModel interface {
+	EvaluateGrid(g *pdn.Grid, out []pdn.Result) error
+}
+
+// chunkSteps is how many integration steps Measure evaluates per kernel
+// call; arena recycles the chunk grids and result blocks across runs.
+const chunkSteps = 256
+
+var arena pdn.GridArena
+
 // Measure runs the reference simulation of the PDN model on the scenario
 // and returns the measured ETEE. The same PDN topology evaluates each
 // instantaneous load snapshot; the returned figure differs from the
 // closed-form prediction by the nonlinearity (Jensen) gap plus ripple-borne
-// guardband interactions.
+// guardband interactions. Snapshots are evaluated chunkSteps at a time
+// through the model's EvaluateGrid when it has one, per snapshot through
+// Evaluate otherwise; either way a step's result, and the running sums, are
+// what per-step Evaluate calls would produce.
 func Measure(m pdn.Model, s pdn.Scenario, cfg Config) (Measurement, error) {
 	if cfg.Step <= 0 || cfg.Duration <= 0 {
 		cfg = DefaultConfig()
@@ -102,37 +118,47 @@ func Measure(m pdn.Model, s pdn.Scenario, cfg Config) (Measurement, error) {
 	alpha := math.Exp(-cfg.Step / 50e-6)
 	sigma := cfg.Noise * math.Sqrt(1-alpha*alpha)
 
+	lease := arena.Get()
+	defer lease.Release()
+	g := lease.Grid()
+
 	var sumPIn, sumPNom, peak units.Watt
 	steps := 0
 	n := int(cfg.Duration/cfg.Step + 0.5)
 	// One instantaneous scenario is mutated in place every step (Scenario is
-	// a value type); only the perturbed PNom fields change, so no per-step
-	// allocation happens anywhere in the loop.
+	// a value type); only the perturbed PNom fields change.
 	inst := s
-	for step := 0; step < n; step++ {
-		t := float64(step) * cfg.Step
-		for k := range s.Loads {
-			if !fluctuates[k] {
-				continue
+	for lo := 0; lo < n; lo += chunkSteps {
+		g.Reset()
+		for step := lo; step < min(lo+chunkSteps, n); step++ {
+			t := float64(step) * cfg.Step
+			for k := range s.Loads {
+				if !fluctuates[k] {
+					continue
+				}
+				tn := &tones[k]
+				tn.noise = alpha*tn.noise + sigma*rng.NormFloat64()
+				scale := 1 + cfg.Ripple*math.Sin(tn.w*t+tn.phase) + tn.noise
+				if scale < 0.05 {
+					scale = 0.05
+				}
+				inst.Loads[k].PNom = s.Loads[k].PNom * scale
 			}
-			tn := &tones[k]
-			tn.noise = alpha*tn.noise + sigma*rng.NormFloat64()
-			scale := 1 + cfg.Ripple*math.Sin(tn.w*t+tn.phase) + tn.noise
-			if scale < 0.05 {
-				scale = 0.05
-			}
-			inst.Loads[k].PNom = s.Loads[k].PNom * scale
+			g.Append(inst)
 		}
-		r, err := m.Evaluate(inst)
-		if err != nil {
+		out := lease.Results(g.Len())
+		if err := evaluateChunk(m, g, out); err != nil {
 			return Measurement{}, err
 		}
-		sumPIn += r.PIn
-		sumPNom += r.PNomTotal
-		if r.PIn > peak {
-			peak = r.PIn
+		for i := range out {
+			r := &out[i]
+			sumPIn += r.PIn
+			sumPNom += r.PNomTotal
+			if r.PIn > peak {
+				peak = r.PIn
+			}
+			steps++
 		}
-		steps++
 	}
 	return Measurement{
 		ETEE:    sumPNom / sumPIn,
@@ -140,6 +166,29 @@ func Measure(m pdn.Model, s pdn.Scenario, cfg Config) (Measurement, error) {
 		PeakPIn: peak,
 		Steps:   steps,
 	}, nil
+}
+
+// evaluateChunk evaluates every snapshot of g into out, through m's kernel
+// when it has one. An invalid snapshot fails with the error Evaluate
+// returns for it.
+func evaluateChunk(m pdn.Model, g *pdn.Grid, out []pdn.Result) error {
+	gm, ok := m.(gridModel)
+	if !ok {
+		for i := range out {
+			r, err := m.Evaluate(g.At(i))
+			if err != nil {
+				return err
+			}
+			out[i] = r
+		}
+		return nil
+	}
+	err := gm.EvaluateGrid(g, out)
+	if inner := errors.Unwrap(err); inner != nil {
+		// Strip pdn.GridPointError's index framing.
+		return inner
+	}
+	return err
 }
 
 // Accuracy returns the validation accuracy of a predicted ETEE against a

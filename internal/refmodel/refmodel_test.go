@@ -123,3 +123,56 @@ func TestBadConfigFallsBack(t *testing.T) {
 		t.Errorf("zero config should fall back to defaults: %v", err)
 	}
 }
+
+// scalarOnly hides a model's batch kernel, so Measure evaluates it one
+// snapshot at a time through Evaluate.
+type scalarOnly struct{ pdn.Model }
+
+// TestMeasureKernelMatchesScalar pins Measure's chunked kernel path to the
+// per-snapshot Evaluate path bit for bit — same RNG stream, same
+// accumulation order — over run lengths that end mid-chunk, and pins that
+// an invalid scenario fails with Evaluate's own error on both paths.
+func TestMeasureKernelMatchesScalar(t *testing.T) {
+	plat := domain.NewClientPlatform()
+	params := pdn.DefaultParams()
+	ivrMode, ldoMode := pdn.NewFlexWattsModes(params)
+	models := []pdn.Model{
+		pdn.NewIVRModel(params), pdn.NewMBVRModel(params), pdn.NewLDOModel(params),
+		pdn.NewIMBVRModel(params), ivrMode, ldoMode,
+	}
+	cfg := DefaultConfig()
+	for _, m := range models {
+		for i, wt := range workload.Types() {
+			s, err := workload.TDPScenario(plat, 6+float64(i)*17, wt, 0.55)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, dur := range []float64{1e-6, 300e-6, 2e-3} {
+				cfg.Duration = dur
+				cfg.Seed = int64(i + 3)
+				got, err := Measure(m, s, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := Measure(scalarOnly{m}, s, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if math.Float64bits(got.ETEE) != math.Float64bits(want.ETEE) ||
+					math.Float64bits(got.MeanPIn) != math.Float64bits(want.MeanPIn) ||
+					math.Float64bits(got.PeakPIn) != math.Float64bits(want.PeakPIn) ||
+					got.Steps != want.Steps {
+					t.Errorf("%v %v %gs: kernel %+v, per-snapshot %+v", m.Kind(), wt, dur, got, want)
+				}
+			}
+		}
+		bad := pdn.NewScenario()
+		bad.Loads[domain.Core0] = pdn.Load{PNom: 2, VNom: 0.8, FL: 0.3, AR: 1.5}
+		_, want := m.Evaluate(bad)
+		for _, mm := range []pdn.Model{m, scalarOnly{m}} {
+			if _, err := Measure(mm, bad, cfg); err == nil || want == nil || err.Error() != want.Error() {
+				t.Errorf("%v invalid scenario: Measure error %v, want %v", m.Kind(), err, want)
+			}
+		}
+	}
+}
