@@ -38,9 +38,11 @@ type config struct {
 type Option func(*config)
 
 // WithParams evaluates with a custom PDNspot parameter set (load-lines,
-// tolerance bands, sharing penalties) instead of the Table 2 calibration,
-// enabling the multi-dimensional architecture-space exploration the paper
-// describes.
+// tolerance bands, sharing penalties, PSU voltage) instead of the Table 2
+// calibration, enabling the multi-dimensional architecture-space
+// exploration the paper describes. Every point evaluates at Params.PSU;
+// Algorithm 1's firmware tables stay characterized at the 7.2 V battery
+// voltage of Fig 3, so FlexWatts picks its mode as it would at 7.2 V.
 func WithParams(p Params) Option {
 	return func(c *config) { c.params = internalParams(p) }
 }
@@ -145,15 +147,19 @@ func NewClient(opts ...Option) (*Client, error) {
 func (c *Client) Params() Params { return paramsFromInternal(c.params) }
 
 // scenario builds the internal evaluation scenario for a point, assuming
-// the point validated.
+// the point validated, at the client's PSU voltage (Params.PSU).
 func (c *Client) scenario(pt Point) (pdn.Scenario, error) {
+	var s pdn.Scenario
 	if pt.CState != C0 {
-		return workload.CStateScenario(c.platform, internalCState(pt.CState)), nil
+		s = workload.CStateScenario(c.platform, internalCState(pt.CState))
+	} else {
+		var err error
+		s, err = workload.TDPScenario(c.platform, float64(pt.TDP), internalWorkloadType(pt.Workload), pt.AR)
+		if err != nil {
+			return pdn.Scenario{}, fmt.Errorf("%w: %v", ErrInvalidPoint, err)
+		}
 	}
-	s, err := workload.TDPScenario(c.platform, float64(pt.TDP), internalWorkloadType(pt.Workload), pt.AR)
-	if err != nil {
-		return pdn.Scenario{}, fmt.Errorf("%w: %v", ErrInvalidPoint, err)
-	}
+	s.PSU = c.params.PSU
 	return s, nil
 }
 

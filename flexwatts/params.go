@@ -11,7 +11,9 @@ package flexwatts
 // quantities are SI base units (volts, ohms, amperes, watts).
 type Params struct {
 	// PSU is the battery/PSU voltage feeding the motherboard VRs (7.2–20 V;
-	// 7.2 V matches the measured curves of Fig 3).
+	// 7.2 V matches the measured curves of Fig 3). Every point a Client
+	// evaluates runs at this voltage; Algorithm 1's firmware tables stay
+	// characterized at 7.2 V.
 	PSU float64
 	// VINLevel is the first-stage output in the IVR PDN (typically 1.8 V).
 	VINLevel float64
