@@ -158,22 +158,21 @@ func IDs() []string {
 // Datasets executes every registered experiment through the sweep engine
 // and returns the typed results in id order.
 //
-// The env's worker budget is split between the two sweep levels — a few
-// experiments in flight, each granted its share of the pool for its own
-// grid — so nested sweeps never multiply into workers² goroutines.
+// Up to four experiments run at once, and each gets the env's whole worker
+// budget for its own grid. The experiments are lopsided: Fig 4's reference
+// simulations take almost all of the suite's CPU while the rest finish in
+// milliseconds, so splitting the budget between them would leave Fig 4 one
+// worker and the others idle. The sweeps briefly oversubscribe the budget
+// instead; their output does not depend on worker count.
 func Datasets(e *Env) ([]*report.Dataset, error) {
 	ids := IDs()
 	budget := e.Workers
 	if budget <= 0 {
 		budget = runtime.GOMAXPROCS(0)
 	}
-	outer := budget
-	if outer > 4 {
-		outer = 4
-	}
 	inner := *e
-	inner.Workers = (budget + outer - 1) / outer
-	return sweep.Map(outer, len(ids), func(i int) (*report.Dataset, error) {
+	inner.Workers = budget
+	return sweep.Map(min(budget, 4), len(ids), func(i int) (*report.Dataset, error) {
 		d, err := Dataset(ids[i], &inner)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", ids[i], err)
