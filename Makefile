@@ -91,13 +91,15 @@ slo:
 # Short-budget fuzz runs over the untrusted input surfaces, the evaluate
 # request (decoded, then served) and the public Point → Result path, plus
 # the §3.3 inversion against its reference bisection (same bits for any
-# TDP, workload type and budget). -fuzz accepts one package at a time, so
-# three sequential invocations.
+# TDP, workload type and budget) and the PDN kernels against their frozen
+# scalar oracle (same bits and errors for any scenario). -fuzz accepts one
+# package at a time, so four sequential invocations.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzEvaluateRequest$$' -fuzztime $(FUZZTIME) ./internal/server
 	$(GO) test -run '^$$' -fuzz '^FuzzEvaluateBatch$$' -fuzztime $(FUZZTIME) ./flexwatts
 	$(GO) test -run '^$$' -fuzz '^FuzzFreqRatio$$' -fuzztime $(FUZZTIME) ./internal/perf
+	$(GO) test -run '^$$' -fuzz '^FuzzEvaluateOracle$$' -fuzztime $(FUZZTIME) ./internal/pdn
 
 lint:
 	$(GO) vet ./...
