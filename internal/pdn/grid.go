@@ -135,9 +135,9 @@ func (g *Grid) At(i int) Scenario {
 // single precomputed mask against its needs — equality chains transitively
 // point to point, so "unchanged since my last full compute" is one AND+CMP.
 // Equality is float ==, exactly the predicate the depth-1 memos always
-// used: NaN compares unequal (forcing the full path, which behaves as the
-// scalar does), and ±0 drift is unobservable because a load with zero power
-// is inert in every hoisted quantity.
+// used: NaN compares unequal (forcing the full path), and ±0 drift is
+// unobservable because a load with zero power is inert in every hoisted
+// quantity.
 const (
 	gridMaskARShift = uint(domain.NumKinds)
 	gridMaskCState  = uint16(1) << (2 * domain.NumKinds)
@@ -193,18 +193,17 @@ func (g *Grid) ChangeMasks(lo int, masks []uint16) {
 }
 
 // gridPointRun memoizes the per-point validation and nominal-power sums of
-// a kernel loop. validate mirrors the scalar Validate check for check —
-// same order, same predicates, same error values, which the grid error
-// tests pin — reading the columns in place. The checks and sums depend
-// only on the AR-free load fields plus the per-load AR range test, so
-// across grid points where only AR varies (the mask says every AR-free
-// column repeats) the runner re-checks just the changed ARs and replays
-// the stored totals. The hit path is sound because every skipped predicate
-// ran on bit-identical inputs when the memo was stored: same bits, same
-// verdict, and the first failure the scalar would report — all non-AR
-// checks passing — is necessarily the first failing changed AR in domain
-// order, which the hit path reports identically. Not safe for concurrent
-// use.
+// a kernel block. validate is the package's one scenario validator (Validate
+// runs it on a one-point grid), reading the columns in place. The checks
+// and sums depend only on the AR-free load fields plus the per-load AR
+// range test, so across grid points where only AR varies (the mask says
+// every AR-free column repeats) the runner re-checks just the changed ARs
+// and replays the stored totals. The hit path is sound because every
+// skipped predicate ran on bit-identical inputs when the memo was stored:
+// same bits, same verdict, and the first failure the full check would
+// report — all non-AR checks passing — is necessarily the first failing
+// changed AR in domain order, which the hit path reports identically. Not
+// safe for concurrent use.
 type gridPointRun struct {
 	valid bool
 	// total is ΣPNOM of the last successfully validated point, in
@@ -364,15 +363,21 @@ type pointGrid struct {
 	out    [1]Result
 }
 
-// of copies s into p's columns and returns a one-point grid over them.
-func (p *pointGrid) of(s *Scenario) Grid {
-	g := Grid{n: 1, cstate: p.cstate[:], psu: p.psu[:]}
+// load copies s into p's columns.
+func (p *pointGrid) load(s *Scenario) {
 	for k := range s.Loads {
 		l := &s.Loads[k]
 		p.pnom[k][0], p.vnom[k][0], p.fl[k][0], p.ar[k][0] = l.PNom, l.VNom, l.FL, l.AR
-		g.pnom[k], g.vnom[k], g.fl[k], g.ar[k] = p.pnom[k][:], p.vnom[k][:], p.fl[k][:], p.ar[k][:]
 	}
 	p.cstate[0], p.psu[0] = s.CState, s.PSU
+}
+
+// grid returns a one-point grid over p's columns.
+func (p *pointGrid) grid() Grid {
+	g := Grid{n: 1, cstate: p.cstate[:], psu: p.psu[:]}
+	for k := range p.pnom {
+		g.pnom[k], g.vnom[k], g.fl[k], g.ar[k] = p.pnom[k][:], p.vnom[k][:], p.fl[k][:], p.ar[k][:]
+	}
 	return g
 }
 
@@ -849,10 +854,10 @@ func GridPointError(i int, err error) error {
 }
 
 // clearResults zeroes a kernel's result block before evaluation. The
-// runners then accumulate each point's Breakdown and Rails directly inside
-// out[i] — one streaming memclr up front replaces a per-point stack build
-// plus ~220-byte copy, and unused rail slots end up zero exactly as the
-// scalar path's zero-value RailSet leaves them.
+// runners then accumulate each point's Breakdown, Rails, PNomTotal and PIn
+// directly inside out[i] — one streaming memclr up front replaces a
+// per-point stack build plus ~220-byte copy — and unused rail slots stay
+// zero.
 func clearResults(out []Result) {
 	for i := range out {
 		out[i] = Result{}

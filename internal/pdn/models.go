@@ -19,7 +19,8 @@ var ErrNoLoad = errors.New("pdn: scenario has no active load")
 // is a ~200-byte value; the scenario is not modified.
 func Validate(s *Scenario) error {
 	var pg pointGrid
-	g := pg.of(s)
+	pg.load(s)
+	g := pg.grid()
 	var pt gridPointRun
 	return pt.validate(&g, 0, 0)
 }
@@ -73,7 +74,8 @@ func (m *IVRModel) kernel() ivrKernel {
 // Evaluate implements Model, following Eq. 2, 6, 7, 8, 9.
 func (m *IVRModel) Evaluate(s Scenario) (Result, error) {
 	var pg pointGrid
-	g := pg.of(&s)
+	pg.load(&s)
+	g := pg.grid()
 	k := m.kernel()
 	if _, err := k.block(&g, 0, pg.mask[:], pg.out[:]); err != nil {
 		return Result{}, err
@@ -171,7 +173,8 @@ func (m *MBVRModel) kernel() mbvrKernel {
 // Evaluate implements Model, following Eq. 2–5 per rail.
 func (m *MBVRModel) Evaluate(s Scenario) (Result, error) {
 	var pg pointGrid
-	g := pg.of(&s)
+	pg.load(&s)
+	g := pg.grid()
 	k := m.kernel()
 	if _, err := k.block(&g, 0, pg.mask[:], pg.out[:]); err != nil {
 		return Result{}, err
@@ -323,7 +326,8 @@ func (m *SplitRailModel) kernel() splitRailKernel {
 // stage), 7, 8 and 9/12 on the V_IN path and Eq. 2–5 on the SA/IO rails.
 func (m *SplitRailModel) Evaluate(s Scenario) (Result, error) {
 	var pg pointGrid
-	g := pg.of(&s)
+	pg.load(&s)
+	g := pg.grid()
 	k := m.kernel()
 	if _, err := k.block(&g, 0, pg.mask[:], pg.out[:]); err != nil {
 		return Result{}, err
