@@ -94,8 +94,10 @@ func BenchmarkSuiteSerial(b *testing.B) { benchSuite(b, 1) }
 
 // BenchmarkSuiteParallel regenerates the full evaluation on the sweep
 // engine's default GOMAXPROCS worker pool. Compare ns/op against
-// BenchmarkSuiteSerial for the full-suite speedup; with 4+ cores the
-// reference-simulator-bound Fig 4 grid alone sustains >2x.
+// BenchmarkSuiteSerial for the full-suite speedup: Fig 4's reference
+// simulations take almost all of the suite's CPU, and each experiment's
+// sweep gets the whole worker budget, so the speedup tracks how well the
+// Fig 4 grid spreads over the cores.
 func BenchmarkSuiteParallel(b *testing.B) { benchSuite(b, 0) }
 
 // BenchmarkCompareOnTraces measures the batch trace-comparison throughput:
@@ -173,9 +175,9 @@ func gridBenchGrid(tb testing.TB) *pdn.Grid {
 // BenchmarkEvaluateGrid measures the batch evaluation kernel on the
 // 4128-point grid, reporting sustained points/s — the headline number the
 // CI perf gate tracks. Compare against BenchmarkEvaluateGridLooped (the
-// same grid through scalar Evaluate) or BenchmarkEvaluateETEE (one scalar
-// evaluation): the acceptance bar is ≥3× looped throughput. Sub-benchmarks
-// cover every static kind plus FlexWatts in both hybrid modes.
+// same grid through per-point Evaluate) or BenchmarkEvaluateETEE (one
+// Evaluate call). Sub-benchmarks cover every static kind plus FlexWatts in
+// both hybrid modes.
 func BenchmarkEvaluateGrid(b *testing.B) {
 	e := benchEnv(b)
 	g := gridBenchGrid(b)
@@ -206,12 +208,12 @@ func BenchmarkEvaluateGrid(b *testing.B) {
 	}
 }
 
-// BenchmarkEvaluateGridLooped is the scalar baseline for the grid kernels:
-// the identical 4128-point grid through per-point Evaluate, with the same
-// points/s metric, so each kernel's speedup is one division away. The
-// top-level benchmark keeps the historical IVR-only shape (the BENCH_8
-// headline); sub-benchmarks add the per-kind scalar baselines so every
-// kernel is compared against its own scalar loop, not IVR's.
+// BenchmarkEvaluateGridLooped runs the identical 4128-point grid through
+// per-point Evaluate, with the same points/s metric. Evaluate is the same
+// kernel on a one-point grid, so this measures per-point kernel calls: the
+// per-call setup (one-point grid, runner state) and the memos a one-point
+// call cannot use. The top-level benchmark keeps the historical IVR-only
+// shape (the BENCH_8 headline); sub-benchmarks cover each kind.
 func BenchmarkEvaluateGridLooped(b *testing.B) {
 	e := benchEnv(b)
 	g := gridBenchGrid(b)

@@ -1,9 +1,12 @@
 // Grid-equivalence property test: the batch EvaluateGrid path must return
-// float64-bitwise-identical results to the scalar Evaluate loop (documented
-// bound ε = 0), for every PDN kind and both hybrid modes, on the real
-// platform parameters. Bitwise identity — not an epsilon band — is what
-// guarantees the experiment goldens stay byte-identical and that grid- and
-// scalar-resolved cache entries can coexist in one sweep.Cache.
+// float64-bitwise-identical results to the per-point Evaluate loop
+// (documented bound ε = 0), for every PDN kind and both hybrid modes, on the
+// real platform parameters. Evaluate runs the same kernel on a one-point
+// grid, so this pins the kernels' memo paths against their full path;
+// internal/pdn pins both against the frozen scalar oracle. Bitwise identity
+// — not an epsilon band — is what guarantees the experiment goldens stay
+// byte-identical and that grid- and per-point-resolved cache entries can
+// coexist in one sweep.Cache.
 package repro_test
 
 import (

@@ -6,8 +6,8 @@
 //
 // Points are grouped by PDN kind into arena-leased SoA grids, FlexWatts
 // points further by the hybrid mode Algorithm 1 predicts for them, and
-// each group runs its kernel once through sweep.GridMapCtx. The kernels
-// are bitwise identical to the scalar models (internal/pdn/grid.go), so
+// each group runs its kernel once through sweep.GridMapCtx. A model's
+// Evaluate runs the same kernel on one point (internal/pdn/grid.go), so
 // every point carries exactly the result its scalar model returns.
 // Nothing is memoized: on these paths recomputing a point costs less than
 // probing a cache for it.

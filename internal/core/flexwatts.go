@@ -21,7 +21,7 @@
 //
 // Ideas 1 and 2 make each mode a split-rail PDN: IVR-Mode is the I+MBVR
 // topology and LDO-Mode the LDO PDN, each on the penalized V_IN load-line.
-// Their power flow, scalar and batch, lives in internal/pdn
+// Their power flow, per point and batch, lives in internal/pdn
 // (pdn.NewFlexWattsModes); this package holds the mode policy only: Model
 // dispatches to the selected mode, and the predictor, the switching flow,
 // AutoModel and the voltage-noise model decide and carry out the switch.

@@ -16,9 +16,9 @@ import (
 // rails), each following the equations of paper §3.1. Evaluate runs a
 // model's block on a one-point grid whose columns live on the caller's
 // stack; EvaluateGrid runs it over gridMaskBlock-point blocks; Validate
-// runs the block's validator on one point. oracle_test.go freezes the
-// scalar code these runners replaced, and the tests pin every kernel to it
-// bit for bit, errors included.
+// runs the block's validator on one point. oracle_test.go keeps a frozen
+// scalar implementation of the same flow as the reference, and the tests
+// pin every kernel to it bit for bit, errors included.
 //
 // Three invariant classes are hoisted out of the per-point work:
 //

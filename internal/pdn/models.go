@@ -101,9 +101,13 @@ func (m *IVRModel) EvaluateGrid(g *Grid, out []Result) error {
 	return nil
 }
 
-// block is the IVR power flow: the six domains' IVR stage on the V_IN rail,
-// whose conduction loss splits between the compute and uncore paths by
-// their share of nominal power.
+// block validates and evaluates the len(masks) points of g from base into
+// out, whose slots must be zero, taking each point's change mask from
+// masks; the runners keep their memos from one block to the next. It stops
+// at the first invalid point and returns its index and error; the points
+// before it have complete results. This is the IVR power flow: the six
+// domains' IVR stage on the V_IN rail, whose conduction loss splits between
+// the compute and uncore paths by their share of nominal power.
 func (k *ivrKernel) block(g *Grid, base int, masks []uint16, out []Result) (int, error) {
 	p := &k.m.params
 	var st stageOut
@@ -199,12 +203,12 @@ func (m *MBVRModel) EvaluateGrid(g *Grid, out []Result) error {
 	return nil
 }
 
-// block is the MBVR power flow, swept rail-major — one evalBlock pass per
-// rail with that rail's state held hot — instead of cycling all four
-// runners through every point. Per point the PIn additions, breakdown
-// additions and rail appends still happen in rail order (cores, gfx, sa,
-// io), so the accumulation sequence, and therefore the bits, are the
-// point-major order's.
+// block is the MBVR power flow (see ivrKernel.block for the contract),
+// swept rail-major — one evalBlock pass per rail with that rail's state
+// held hot — instead of cycling all four runners through every point. Per
+// point the PIn additions, breakdown additions and rail appends still
+// happen in rail order (cores, gfx, sa, io), so the accumulation sequence,
+// and therefore the bits, are the point-major order's.
 func (k *mbvrKernel) block(g *Grid, base int, masks []uint16, out []Result) (int, error) {
 	// Validate the block up front: rail-major evaluation finishes every
 	// point of a block before moving on, so an invalid point truncates the
@@ -352,7 +356,8 @@ func (m *SplitRailModel) EvaluateGrid(g *Grid, out []Result) error {
 	return nil
 }
 
-// block is the split-rail power flow. All three rails run point-major: on
+// block is the split-rail power flow (see ivrKernel.block for the
+// contract). All three rails run point-major: on
 // sweep-shaped grids the SA/IO rails are mostly whole-rail memo hits, and
 // sweeping them rail-major as the MBVR kernel does only re-reads the result
 // block (measured slower for every split-rail PDN).

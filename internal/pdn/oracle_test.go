@@ -10,10 +10,10 @@ import (
 	"repro/internal/vr"
 )
 
-// This file freezes the scalar power flow the PDN models ran before their
-// grid kernels became the only implementation: the stage functions of
-// paper §3.1 (ivrStage, ldoStage, vinRail, boardRail, offChipInput), the
-// three models' Evaluate bodies (oracleEvaluate) and the scenario checks
+// This file keeps a frozen scalar implementation of the PDN power flow as
+// the reference for the grid kernels: the stage functions of paper §3.1
+// (ivrStage, ldoStage, vinRail, boardRail, offChipInput), one Evaluate
+// body per model type (oracleEvaluate) and the scenario checks
 // (oracleValidate). The kernels must return these bits exactly — every
 // Result field, every error text — on every point, which the oracle tests
 // and FuzzEvaluateOracle pin. Change the physics here only together with

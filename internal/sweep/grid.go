@@ -9,11 +9,12 @@ import (
 	"repro/internal/pdn"
 )
 
-// GridEvaluator is a pdn.Model with a batch evaluation path. The batch
-// contract (internal/pdn/grid.go) is bitwise identity with the scalar
-// Evaluate, which is what makes it safe to mix grid- and scalar-computed
-// results in one Cache: whichever path resolves a key first stores the
-// same float64 bits the other would have.
+// GridEvaluator is a pdn.Model with a batch evaluation path. Every pdn
+// model's Evaluate runs its EvaluateGrid kernel on a one-point grid
+// (internal/pdn/grid.go), so the two are bitwise identical, which is what
+// makes it safe to mix grid- and scalar-computed results in one Cache:
+// whichever path resolves a key first stores the same float64 bits the
+// other would have.
 type GridEvaluator interface {
 	pdn.Model
 	EvaluateGrid(g *pdn.Grid, out []pdn.Result) error

@@ -14,9 +14,9 @@ import (
 // pair on every call; the PDN models compile each regulator's states once,
 // when the model is built, and reuse them for every point.
 //
-// compile_test.go freezes the loss model as it stood before this was its
-// only implementation (referenceEfficiency) and pins BuckOp against it bit
-// for bit across states, voltages and currents.
+// compile_test.go keeps a frozen copy of the loss model as the reference
+// (referenceEfficiency) and pins BuckOp against it bit for bit across
+// states, voltages and currents.
 
 // BuckOp is a Buck's loss model compiled for one (Vin, PowerState) pair.
 // The zero value is not meaningful; obtain one from Buck.Compile.

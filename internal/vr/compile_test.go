@@ -7,10 +7,9 @@ import (
 	"repro/internal/units"
 )
 
-// referenceEfficiency is the buck loss model as Buck.Efficiency computed it
-// before BuckOp became the model's only implementation, frozen as the
-// bitwise oracle for Compile: Pout/(Pout+Ploss) floored at EtaFloor, with
-// Ploss the left-to-right sum of the seven loss terms.
+// referenceEfficiency is a frozen scalar copy of the buck loss model, the
+// bitwise reference for Compile: Pout/(Pout+Ploss) floored at EtaFloor,
+// with Ploss the left-to-right sum of the seven loss terms.
 func referenceEfficiency(b *Buck, op OperatingPoint) float64 {
 	p := b.Params()
 	if op.Iout <= 0 {
