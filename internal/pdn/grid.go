@@ -467,15 +467,10 @@ type ivrStageRun struct {
 	out   stageOut // PIn + Breakdown of the memoized point; AR unset
 }
 
-// newIVRStageRun returns a runner for the given load set over the IVRs
-// compiled at the V_IN rail.
-func newIVRStageRun(states *vr.BuckStates, ks kindSet, tob units.Volt) ivrStageRun {
-	return ivrStageRun{
-		states: states,
-		tob:    tob,
-		kinds:  ks.kinds,
-		need:   ks.free | gridMaskCState,
-	}
+// init sets up a zero runner for the given load set over the IVRs compiled
+// at the V_IN rail.
+func (r *ivrStageRun) init(states *vr.BuckStates, ks kindSet, tob units.Volt) {
+	r.states, r.tob, r.kinds, r.need = states, tob, ks.kinds, ks.free|gridMaskCState
 }
 
 // evalInto writes the stage output for point i of the grid into *dst; m
@@ -550,9 +545,9 @@ type ldoStageRun struct {
 	out   stageOut
 }
 
-// newLDOStageRun returns a runner for the given compute load set.
-func newLDOStageRun(ldo *vr.LDO, ks kindSet, tob units.Volt) ldoStageRun {
-	return ldoStageRun{ldo: ldo, tob: tob, kinds: ks.kinds, need: ks.free}
+// init sets up a zero runner for the given compute load set.
+func (r *ldoStageRun) init(ldo *vr.LDO, ks kindSet, tob units.Volt) {
+	r.ldo, r.tob, r.kinds, r.need = ldo, tob, ks.kinds, ks.free
 }
 
 // evalInto writes the stage output for point i of the grid into *dst and
@@ -710,13 +705,10 @@ type boardRailRun struct {
 	out   railOut
 }
 
-// newBoardRailRun returns a runner for one motherboard rail.
-func newBoardRailRun(reg *offChipVR, ks kindSet, tob units.Volt, rpg, rll units.Ohm, compute bool) boardRailRun {
-	return boardRailRun{
-		reg: reg, kinds: ks.kinds, tob: tob, rpg: rpg, rll: rll, compute: compute,
-		need:     ks.free | ks.ar | gridMaskCState | gridMaskPSU,
-		freeNeed: ks.free,
-	}
+// init sets up a zero runner for one motherboard rail.
+func (r *boardRailRun) init(reg *offChipVR, ks kindSet, tob units.Volt, rpg, rll units.Ohm, compute bool) {
+	r.reg, r.kinds, r.tob, r.rpg, r.rll, r.compute = reg, ks.kinds, tob, rpg, rll, compute
+	r.need, r.freeNeed = ks.free|ks.ar|gridMaskCState|gridMaskPSU, ks.free
 }
 
 // evalPoint computes the rail's full output for point i into r.out. When

@@ -67,8 +67,11 @@ type ivrKernel struct {
 	stage ivrStageRun
 }
 
-func (m *IVRModel) kernel() ivrKernel {
-	return ivrKernel{m: m, stage: newIVRStageRun(&m.ivr, gridAllKinds, m.params.TOBIVR)}
+// init sets up a zero kernel for m. Kernels are built in place: a
+// returned copy would cost a per-call copy of the runner state.
+func (k *ivrKernel) init(m *IVRModel) {
+	k.m = m
+	k.stage.init(&m.ivr, gridAllKinds, m.params.TOBIVR)
 }
 
 // Evaluate implements Model, following Eq. 2, 6, 7, 8, 9.
@@ -76,7 +79,8 @@ func (m *IVRModel) Evaluate(s Scenario) (Result, error) {
 	var pg pointGrid
 	pg.load(&s)
 	g := pg.grid()
-	k := m.kernel()
+	var k ivrKernel
+	k.init(m)
 	if _, err := k.block(&g, 0, pg.mask[:], pg.out[:]); err != nil {
 		return Result{}, err
 	}
@@ -91,7 +95,8 @@ func (m *IVRModel) EvaluateGrid(g *Grid, out []Result) error {
 	if err := startGrid(g, out); err != nil {
 		return err
 	}
-	k := m.kernel()
+	var k ivrKernel
+	k.init(m)
 	var masks [gridMaskBlock]uint16
 	for base := 0; base < g.Len(); base += gridMaskBlock {
 		if i, err := k.block(g, base, g.blockMasks(base, &masks), out); err != nil {
@@ -163,15 +168,14 @@ type mbvrKernel struct {
 	cores, gfx, sa, io boardRailRun
 }
 
-func (m *MBVRModel) kernel() mbvrKernel {
+// init sets up a zero kernel for m.
+func (k *mbvrKernel) init(m *MBVRModel) {
 	p := &m.params
-	return mbvrKernel{
-		m:     m,
-		cores: newBoardRailRun(&m.cores, gridCoresKinds, p.TOBMBVR, p.RPG, p.CoresLL, true),
-		gfx:   newBoardRailRun(&m.gfx, gridGfxKinds, p.TOBMBVR, p.RPG, p.GfxLL, true),
-		sa:    newBoardRailRun(&m.sa, gridSAKinds, p.TOBMBVR, p.RPG, p.SALL, false),
-		io:    newBoardRailRun(&m.io, gridIOKinds, p.TOBMBVR, p.RPG, p.IOLL, false),
-	}
+	k.m = m
+	k.cores.init(&m.cores, gridCoresKinds, p.TOBMBVR, p.RPG, p.CoresLL, true)
+	k.gfx.init(&m.gfx, gridGfxKinds, p.TOBMBVR, p.RPG, p.GfxLL, true)
+	k.sa.init(&m.sa, gridSAKinds, p.TOBMBVR, p.RPG, p.SALL, false)
+	k.io.init(&m.io, gridIOKinds, p.TOBMBVR, p.RPG, p.IOLL, false)
 }
 
 // Evaluate implements Model, following Eq. 2–5 per rail.
@@ -179,7 +183,8 @@ func (m *MBVRModel) Evaluate(s Scenario) (Result, error) {
 	var pg pointGrid
 	pg.load(&s)
 	g := pg.grid()
-	k := m.kernel()
+	var k mbvrKernel
+	k.init(m)
 	if _, err := k.block(&g, 0, pg.mask[:], pg.out[:]); err != nil {
 		return Result{}, err
 	}
@@ -193,7 +198,8 @@ func (m *MBVRModel) EvaluateGrid(g *Grid, out []Result) error {
 	if err := startGrid(g, out); err != nil {
 		return err
 	}
-	k := m.kernel()
+	var k mbvrKernel
+	k.init(m)
 	var masks [gridMaskBlock]uint16
 	for base := 0; base < g.Len(); base += gridMaskBlock {
 		if i, err := k.block(g, base, g.blockMasks(base, &masks), out); err != nil {
@@ -311,19 +317,17 @@ type splitRailKernel struct {
 	sa, io boardRailRun
 }
 
-func (m *SplitRailModel) kernel() splitRailKernel {
+// init sets up a zero kernel for m.
+func (k *splitRailKernel) init(m *SplitRailModel) {
 	p := &m.params
-	k := splitRailKernel{
-		m:  m,
-		sa: newBoardRailRun(&m.sa, gridSAKinds, m.boardTOB, p.RPG, p.SALL, false),
-		io: newBoardRailRun(&m.io, gridIOKinds, m.boardTOB, p.RPG, p.IOLL, false),
-	}
+	k.m = m
+	k.sa.init(&m.sa, gridSAKinds, m.boardTOB, p.RPG, p.SALL, false)
+	k.io.init(&m.io, gridIOKinds, m.boardTOB, p.RPG, p.IOLL, false)
 	if m.ldo == nil {
-		k.ivrSt = newIVRStageRun(&m.ivr, gridComputeKinds, p.TOBIVR)
+		k.ivrSt.init(&m.ivr, gridComputeKinds, p.TOBIVR)
 	} else {
-		k.ldoSt = newLDOStageRun(m.ldo, gridComputeKinds, p.TOBLDO)
+		k.ldoSt.init(m.ldo, gridComputeKinds, p.TOBLDO)
 	}
-	return k
 }
 
 // Evaluate implements Model, following Eq. 2, 6 (IVR stage) or 10/11 (LDO
@@ -332,7 +336,8 @@ func (m *SplitRailModel) Evaluate(s Scenario) (Result, error) {
 	var pg pointGrid
 	pg.load(&s)
 	g := pg.grid()
-	k := m.kernel()
+	var k splitRailKernel
+	k.init(m)
 	if _, err := k.block(&g, 0, pg.mask[:], pg.out[:]); err != nil {
 		return Result{}, err
 	}
@@ -346,7 +351,8 @@ func (m *SplitRailModel) EvaluateGrid(g *Grid, out []Result) error {
 	if err := startGrid(g, out); err != nil {
 		return err
 	}
-	k := m.kernel()
+	var k splitRailKernel
+	k.init(m)
 	var masks [gridMaskBlock]uint16
 	for base := 0; base < g.Len(); base += gridMaskBlock {
 		if i, err := k.block(g, base, g.blockMasks(base, &masks), out); err != nil {
