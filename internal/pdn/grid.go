@@ -381,12 +381,16 @@ func (p *pointGrid) grid() Grid {
 	return g
 }
 
-// startGrid checks and zeroes an EvaluateGrid call's result block.
+// startGrid checks and zeroes an EvaluateGrid call's result block. The
+// runners then accumulate each point's Breakdown, Rails, PNomTotal and PIn
+// directly inside out[i] — one streaming memclr up front replaces a
+// per-point stack build plus ~220-byte copy — and unused rail slots stay
+// zero.
 func startGrid(g *Grid, out []Result) error {
 	if err := CheckGridOut(g, out); err != nil {
 		return err
 	}
-	clearResults(out[:g.Len()])
+	clear(out[:g.Len()])
 	return nil
 }
 
@@ -843,15 +847,4 @@ func CheckGridOut(g *Grid, out []Result) error {
 // errors.Is/As see through the grid framing.
 func GridPointError(i int, err error) error {
 	return fmt.Errorf("pdn: grid point %d: %w", i, err)
-}
-
-// clearResults zeroes a kernel's result block before evaluation. The
-// runners then accumulate each point's Breakdown, Rails, PNomTotal and PIn
-// directly inside out[i] — one streaming memclr up front replaces a
-// per-point stack build plus ~220-byte copy — and unused rail slots stay
-// zero.
-func clearResults(out []Result) {
-	for i := range out {
-		out[i] = Result{}
-	}
 }
