@@ -290,6 +290,97 @@ func TestEvaluateErrors(t *testing.T) {
 	}
 }
 
+// TestEvaluateEnvelopes pins the exact status and body bytes both evaluate
+// routes answer for malformed, unusual and oversized request bodies. Error
+// envelopes are the same on both routes; a 200 is the indented response on
+// /v1/evaluate and NDJSON lines on /v1/evaluate/stream. The server caps
+// bodies at 512 bytes, so the last three bodies run past the limit: one
+// holds a complete value inside it (answered as if the limit were not
+// there), one is cut by it (413), and one has a syntax error inside it.
+func TestEvaluateEnvelopes(t *testing.T) {
+	envOnce.Do(func() { envVal, envErr = experiments.NewEnv() })
+	if envErr != nil {
+		t.Fatal(envErr)
+	}
+	h := New(envVal, Options{Workers: 2, MaxBodyBytes: 512}).Handler()
+	pad := strings.Repeat(" ", 600)
+	point := `{"pdn":"IVR","tdp":18,"workload":"multi-thread","ar":0.6}`
+	cases := []struct {
+		name, body string
+		status     int
+		want       string
+		// stream is /v1/evaluate/stream's body on a 200; an error
+		// envelope is want on both routes.
+		stream string
+	}{
+		{"truncated", `{`, http.StatusBadRequest,
+			"{\n  \"code\": \"invalid_point\",\n  \"error\": \"invalid point: bad request body: unexpected EOF\"\n}\n", ""},
+		{"empty body", ``, http.StatusBadRequest,
+			"{\n  \"code\": \"invalid_point\",\n  \"error\": \"invalid point: bad request body: EOF\"\n}\n", ""},
+		{"unknown top-level key", `{"pts":[]}`, http.StatusBadRequest,
+			"{\n  \"code\": \"invalid_point\",\n  \"error\": \"invalid point: bad request body: json: unknown field \\\"pts\\\"\"\n}\n", ""},
+		{"no points", `{"points":[]}`, http.StatusBadRequest,
+			"{\n  \"code\": \"invalid_point\",\n  \"error\": \"invalid point: request has no points\"\n}\n", ""},
+		{"null points", `{"points":null}`, http.StatusBadRequest,
+			"{\n  \"code\": \"invalid_point\",\n  \"error\": \"invalid point: request has no points\"\n}\n", ""},
+		{"case-folded keys", `{"Points":[{"PDN":"ivr","TDP":18,"Workload":"multi-thread","AR":0.6}]}`, http.StatusOK,
+			"{\n  \"results\": [\n    {\n      \"pdn\": \"IVR\",\n      \"cstate\": \"C0\",\n      \"etee\": 0.7009583832253126,\n      \"p_nom\": 11.350000000000001,\n      \"p_in\": 16.19211678127789,\n      \"loss\": 4.842116781277888\n    }\n  ],\n  \"workers\": 1\n}\n",
+			"{\"index\":0,\"result\":{\"pdn\":\"IVR\",\"cstate\":\"C0\",\"etee\":0.7009583832253126,\"p_nom\":11.350000000000001,\"p_in\":16.19211678127789,\"loss\":4.842116781277888}}\n"},
+		{"bare string", `"I+MBVR"`, http.StatusBadRequest,
+			"{\n  \"code\": \"invalid_point\",\n  \"error\": \"invalid point: bad request body: json: cannot unmarshal string into Go value of type api.EvalRequest\"\n}\n", ""},
+		{"I+MBVR point", `{"points":[{"pdn":"I+MBVR","tdp":18,"workload":"Multi-Thread","ar":0.6}]}`, http.StatusOK,
+			"{\n  \"results\": [\n    {\n      \"pdn\": \"I+MBVR\",\n      \"cstate\": \"C0\",\n      \"etee\": 0.7117837531591176,\n      \"p_nom\": 11.350000000000001,\n      \"p_in\": 15.94585427052131,\n      \"loss\": 4.5958542705213095\n    }\n  ],\n  \"workers\": 1\n}\n",
+			"{\"index\":0,\"result\":{\"pdn\":\"I+MBVR\",\"cstate\":\"C0\",\"etee\":0.7117837531591176,\"p_nom\":11.350000000000001,\"p_in\":15.94585427052131,\"loss\":4.5958542705213095}}\n"},
+		{"escaped I+MBVR", `{"points":[{"pdn":"I\u002bMBVR","tdp":18,"workload":"Multi-Thread","ar":0.6}]}`, http.StatusOK,
+			"{\n  \"results\": [\n    {\n      \"pdn\": \"I+MBVR\",\n      \"cstate\": \"C0\",\n      \"etee\": 0.7117837531591176,\n      \"p_nom\": 11.350000000000001,\n      \"p_in\": 15.94585427052131,\n      \"loss\": 4.5958542705213095\n    }\n  ],\n  \"workers\": 1\n}\n",
+			"{\"index\":0,\"result\":{\"pdn\":\"I+MBVR\",\"cstate\":\"C0\",\"etee\":0.7117837531591176,\"p_nom\":11.350000000000001,\"p_in\":15.94585427052131,\"loss\":4.5958542705213095}}\n"},
+		{"duplicate key", `{"points":[{"pdn":"IVR","pdn":"LDO","tdp":18,"workload":"graphics","ar":0.5}]}`, http.StatusOK,
+			"{\n  \"results\": [\n    {\n      \"pdn\": \"LDO\",\n      \"cstate\": \"C0\",\n      \"etee\": 0.6599935105930148,\n      \"p_nom\": 13.05,\n      \"p_in\": 19.7729216886911,\n      \"loss\": 6.722921688691098\n    }\n  ],\n  \"workers\": 1\n}\n",
+			"{\"index\":0,\"result\":{\"pdn\":\"LDO\",\"cstate\":\"C0\",\"etee\":0.6599935105930148,\"p_nom\":13.05,\"p_in\":19.7729216886911,\"loss\":6.722921688691098}}\n"},
+		{"null fields", `{"points":[{"pdn":"MBVR","tdp":10,"workload":"single-thread","ar":0.7,"cstate":null}]}`, http.StatusOK,
+			"{\n  \"results\": [\n    {\n      \"pdn\": \"MBVR\",\n      \"cstate\": \"C0\",\n      \"etee\": 0.7412379678242486,\n      \"p_nom\": 3.9350000000000005,\n      \"p_in\": 5.3086865093411,\n      \"loss\": 1.3736865093410993\n    }\n  ],\n  \"workers\": 1\n}\n",
+			"{\"index\":0,\"result\":{\"pdn\":\"MBVR\",\"cstate\":\"C0\",\"etee\":0.7412379678242486,\"p_nom\":3.9350000000000005,\"p_in\":5.3086865093411,\"loss\":1.3736865093410993}}\n"},
+		{"null point", `{"points":[null]}`, http.StatusBadRequest,
+			"{\n  \"code\": \"invalid_point\",\n  \"error\": \"point 0: invalid point: invalid point: flexwatts: unknown PDN kind \\\"\\\" (have IVR, MBVR, LDO, I+MBVR, FlexWatts)\"\n}\n", ""},
+		{"string tdp", `{"points":[{"pdn":"IVR","tdp":"18","workload":"graphics","ar":0.5}]}`, http.StatusBadRequest,
+			"{\n  \"code\": \"invalid_point\",\n  \"error\": \"invalid point: bad request body: json: cannot unmarshal string into Go struct field EvalPoint.points.tdp of type float64\"\n}\n", ""},
+		{"tdp 1e400", `{"points":[{"pdn":"IVR","tdp":1e400,"workload":"graphics","ar":0.5}]}`, http.StatusBadRequest,
+			"{\n  \"code\": \"invalid_point\",\n  \"error\": \"invalid point: bad request body: json: cannot unmarshal number 1e400 into Go struct field EvalPoint.points.tdp of type float64\"\n}\n", ""},
+		{"ar 1e-400", `{"points":[{"pdn":"IVR","tdp":18,"workload":"graphics","ar":1e-400}]}`, http.StatusBadRequest,
+			"{\n  \"code\": \"invalid_point\",\n  \"error\": \"point 0: invalid point: flexwatts: invalid point: AR 0 outside (0,1]\"\n}\n", ""},
+		{"non-UTF-8 pdn", "{\"points\":[{\"pdn\":\"IV\xffR\",\"tdp\":18,\"workload\":\"graphics\",\"ar\":0.5}]}", http.StatusBadRequest,
+			"{\n  \"code\": \"invalid_point\",\n  \"error\": \"point 0: invalid point: invalid point: flexwatts: unknown PDN kind \\\"IV�R\\\" (have IVR, MBVR, LDO, I+MBVR, FlexWatts)\"\n}\n", ""},
+		{"unknown point key", `{"points":[{"pdn":"IVR","tdp":18,"workload":"graphics","ar":0.5,"vr":1}]}`, http.StatusBadRequest,
+			"{\n  \"code\": \"invalid_point\",\n  \"error\": \"invalid point: bad request body: json: unknown field \\\"vr\\\"\"\n}\n", ""},
+		{"trailing bytes", `{"points":[{"pdn":"IVR","tdp":18,"workload":"multi-thread","ar":0.6}]} trailing{`, http.StatusOK,
+			"{\n  \"results\": [\n    {\n      \"pdn\": \"IVR\",\n      \"cstate\": \"C0\",\n      \"etee\": 0.7009583832253126,\n      \"p_nom\": 11.350000000000001,\n      \"p_in\": 16.19211678127789,\n      \"loss\": 4.842116781277888\n    }\n  ],\n  \"workers\": 1\n}\n",
+			"{\"index\":0,\"result\":{\"pdn\":\"IVR\",\"cstate\":\"C0\",\"etee\":0.7009583832253126,\"p_nom\":11.350000000000001,\"p_in\":16.19211678127789,\"loss\":4.842116781277888}}\n"},
+		{"idle and whitespace", "\n{ \"points\" : [ {\"pdn\":\"LDO\",\"cstate\":\"C8\"},\t{\"pdn\":\"FlexWatts\",\"tdp\":4,\"workload\":\"graphics\",\"ar\":0.25} ] }\n", http.StatusOK,
+			"{\n  \"results\": [\n    {\n      \"pdn\": \"LDO\",\n      \"cstate\": \"C8\",\n      \"etee\": 0.8244809048688281,\n      \"p_nom\": 0.13,\n      \"p_in\": 0.15767496764607608,\n      \"loss\": 0.027674967646076076\n    },\n    {\n      \"pdn\": \"FlexWatts\",\n      \"cstate\": \"C0\",\n      \"etee\": 0.7313301439355002,\n      \"p_nom\": 2.9300000000000006,\n      \"p_in\": 4.0063985113929785,\n      \"loss\": 1.076398511392978\n    }\n  ],\n  \"workers\": 2\n}\n",
+			"{\"index\":0,\"result\":{\"pdn\":\"LDO\",\"cstate\":\"C8\",\"etee\":0.8244809048688281,\"p_nom\":0.13,\"p_in\":0.15767496764607608,\"loss\":0.027674967646076076}}\n{\"index\":1,\"result\":{\"pdn\":\"FlexWatts\",\"cstate\":\"C0\",\"etee\":0.7313301439355002,\"p_nom\":2.9300000000000006,\"p_in\":4.0063985113929785,\"loss\":1.076398511392978}}\n"},
+		{"past limit, value inside", `{"points":[{"pdn":"MBVR","tdp":25,"workload":"multi-thread","ar":0.9}]}` + pad, http.StatusOK,
+			"{\n  \"results\": [\n    {\n      \"pdn\": \"MBVR\",\n      \"cstate\": \"C0\",\n      \"etee\": 0.7225738634943363,\n      \"p_nom\": 15.55,\n      \"p_in\": 21.520291261021907,\n      \"loss\": 5.970291261021906\n    }\n  ],\n  \"workers\": 1\n}\n",
+			"{\"index\":0,\"result\":{\"pdn\":\"MBVR\",\"cstate\":\"C0\",\"etee\":0.7225738634943363,\"p_nom\":15.55,\"p_in\":21.520291261021907,\"loss\":5.970291261021906}}\n"},
+		{"past limit, value cut", `{"points":[` + strings.Repeat(point+",", 12) + point + `]}`, http.StatusRequestEntityTooLarge,
+			"{\n  \"code\": \"batch_too_large\",\n  \"error\": \"batch too large: request body exceeds 512 bytes\"\n}\n", ""},
+		{"past limit, syntax error inside", `{"points":[{]}` + pad, http.StatusBadRequest,
+			"{\n  \"code\": \"invalid_point\",\n  \"error\": \"invalid point: bad request body: invalid character ']' looking for beginning of object key string\"\n}\n", ""},
+	}
+	for _, tc := range cases {
+		for _, path := range []string{api.PathEvaluate, api.PathEvaluateStream} {
+			want := tc.want
+			if path == api.PathEvaluateStream && tc.status == http.StatusOK {
+				want = tc.stream
+			}
+			w := httptest.NewRecorder()
+			h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, path, strings.NewReader(tc.body)))
+			if w.Code != tc.status || w.Body.String() != want {
+				t.Errorf("%s %s: status %d, body\n%q\nwant %d, body\n%q", tc.name, path, w.Code, w.Body.String(), tc.status, want)
+			}
+		}
+	}
+}
+
 func TestEvaluateBatchCap(t *testing.T) {
 	envOnce.Do(func() { envVal, envErr = experiments.NewEnv() })
 	if envErr != nil {
