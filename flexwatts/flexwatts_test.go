@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -294,6 +295,69 @@ func TestVocabularyRoundTrips(t *testing.T) {
 	if _, err := flexwatts.ParseKind("XVR"); err == nil {
 		t.Error("ParseKind accepted junk")
 	}
+}
+
+// parseWorkloadTypeReference is ParseWorkloadType as it was before it
+// compared names in place, normalizing the input into a new string;
+// frozen as the reference the allocation-free comparison must agree with.
+func parseWorkloadTypeReference(s string) (flexwatts.WorkloadType, error) {
+	norm := strings.ToLower(strings.ReplaceAll(strings.TrimSpace(s), "-", ""))
+	switch norm {
+	case "":
+		return flexwatts.WorkloadUnset, nil
+	case "st", "singlethread":
+		return flexwatts.SingleThread, nil
+	case "mt", "multithread":
+		return flexwatts.MultiThread, nil
+	case "gfx", "graphics":
+		return flexwatts.Graphics, nil
+	case "batterylife":
+		return flexwatts.BatteryLife, nil
+	}
+	return 0, fmt.Errorf("flexwatts: unknown workload type %q (have Single-Thread, Multi-Thread, Graphics, Battery-Life)", s)
+}
+
+// workloadTypeNames are spellings on both sides of ParseWorkloadType's
+// accepted set.
+var workloadTypeNames = []string{
+	"Multi-Thread", "multi-thread", " MT ", "m-t", "GFX", "St", "-graphics-", "SİNGLE-THREAD",
+	"ſingle-thread", "ſt", "Battery-Life", "", " ", "-", " - ", "mining", "multi thread",
+	"graphics\xff", "\u212a", "\t\nGraphics\r", "\u00a0gfx", "gfx\u0085",
+}
+
+// TestParseWorkloadTypeMatchesReference pins ParseWorkloadType to its
+// frozen reference, result and error text, and pins that it allocates
+// nothing on success.
+func TestParseWorkloadTypeMatchesReference(t *testing.T) {
+	for _, s := range workloadTypeNames {
+		got, err := flexwatts.ParseWorkloadType(s)
+		want, wantErr := parseWorkloadTypeReference(s)
+		if got != want || fmt.Sprint(err) != fmt.Sprint(wantErr) {
+			t.Errorf("ParseWorkloadType(%q) = %v, %v; reference %v, %v", s, got, err, want, wantErr)
+		}
+	}
+	if avg := testing.AllocsPerRun(100, func() {
+		if _, err := flexwatts.ParseWorkloadType("Multi-Thread"); err != nil {
+			t.Fatal(err)
+		}
+	}); avg != 0 {
+		t.Errorf("ParseWorkloadType: %.1f allocs, want 0", avg)
+	}
+}
+
+// FuzzParseWorkloadType compares ParseWorkloadType with its frozen
+// reference on any string.
+func FuzzParseWorkloadType(f *testing.F) {
+	for _, s := range workloadTypeNames {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		got, err := flexwatts.ParseWorkloadType(s)
+		want, wantErr := parseWorkloadTypeReference(s)
+		if got != want || fmt.Sprint(err) != fmt.Sprint(wantErr) {
+			t.Fatalf("ParseWorkloadType(%q) = %v, %v; reference %v, %v", s, got, err, want, wantErr)
+		}
+	})
 }
 
 func TestPointJSONRoundTrip(t *testing.T) {

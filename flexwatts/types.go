@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+
+	"repro/internal/workload"
 )
 
 // Watt is a power in watts. It is a defined type (not an alias), so the
@@ -91,20 +93,23 @@ func (t WorkloadType) String() string {
 // ParseWorkloadType resolves a workload class name as the figures spell it
 // ("Single-Thread", "Multi-Thread", "Graphics", "Battery-Life"),
 // case-insensitively and with the hyphen optional, plus the CLI shorthands
-// "st", "mt" and "gfx". The empty string parses to WorkloadUnset.
+// "st", "mt" and "gfx". The empty string parses to WorkloadUnset. It
+// allocates only its error.
 func ParseWorkloadType(s string) (WorkloadType, error) {
-	norm := strings.ToLower(strings.ReplaceAll(strings.TrimSpace(s), "-", ""))
-	switch norm {
-	case "":
-		return WorkloadUnset, nil
-	case "st", "singlethread":
-		return SingleThread, nil
-	case "mt", "multithread":
-		return MultiThread, nil
-	case "gfx", "graphics":
-		return Graphics, nil
-	case "batterylife":
-		return BatteryLife, nil
+	name := strings.TrimSpace(s)
+	for _, c := range []struct {
+		name string
+		t    WorkloadType
+	}{
+		{"", WorkloadUnset},
+		{"st", SingleThread}, {"singlethread", SingleThread},
+		{"mt", MultiThread}, {"multithread", MultiThread},
+		{"gfx", Graphics}, {"graphics", Graphics},
+		{"batterylife", BatteryLife},
+	} {
+		if workload.EqualFoldHyphen(name, c.name) {
+			return c.t, nil
+		}
 	}
 	return 0, fmt.Errorf("flexwatts: unknown workload type %q (have Single-Thread, Multi-Thread, Graphics, Battery-Life)", s)
 }

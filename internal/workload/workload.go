@@ -11,7 +11,8 @@ package workload
 
 import (
 	"fmt"
-	"strings"
+	"unicode"
+	"unicode/utf8"
 )
 
 // Type classifies a workload the way the FlexWatts mode predictor does
@@ -48,17 +49,46 @@ func (t Type) String() string {
 // ParseType resolves a workload type name as the figures spell it
 // ("Single-Thread", "Multi-Thread", "Graphics", "Battery-Life"),
 // case-insensitively and with the hyphen optional, so HTTP clients can
-// write "multi-thread" or "MultiThread" alike.
+// write "multi-thread" or "MultiThread" alike. It allocates only its error.
 func ParseType(s string) (Type, error) {
-	norm := func(v string) string {
-		return strings.ToLower(strings.ReplaceAll(v, "-", ""))
-	}
 	for _, t := range []Type{SingleThread, MultiThread, Graphics, BatteryLife} {
-		if norm(s) == norm(t.String()) {
+		if EqualFoldHyphen(s, t.String()) {
 			return t, nil
 		}
 	}
 	return 0, fmt.Errorf("workload: unknown type %q (have Single-Thread, Multi-Thread, Graphics, Battery-Life)", s)
+}
+
+// EqualFoldHyphen reports whether s and t are equal once every rune is
+// mapped through unicode.ToLower and every hyphen dropped: the comparison
+// of strings.ToLower(strings.ReplaceAll(x, "-", "")) for both, without
+// building either string. It is narrower than strings.EqualFold, which
+// also folds "ſ" to "s".
+func EqualFoldHyphen(s, t string) bool {
+	i, j := 0, 0
+	for {
+		for i < len(s) && s[i] == '-' {
+			i++
+		}
+		for j < len(t) && t[j] == '-' {
+			j++
+		}
+		if i == len(s) || j == len(t) {
+			return i == len(s) && j == len(t)
+		}
+		r, n := rune(s[i]), 1
+		if r >= utf8.RuneSelf {
+			r, n = utf8.DecodeRuneInString(s[i:])
+		}
+		q, m := rune(t[j]), 1
+		if q >= utf8.RuneSelf {
+			q, m = utf8.DecodeRuneInString(t[j:])
+		}
+		if r != q && unicode.ToLower(r) != unicode.ToLower(q) {
+			return false
+		}
+		i, j = i+n, j+m
+	}
 }
 
 // Workload is one benchmark with its modeling inputs.

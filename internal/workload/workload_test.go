@@ -1,7 +1,9 @@
 package workload
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -290,4 +292,68 @@ func TestParseType(t *testing.T) {
 	if _, err := ParseType("mining"); err == nil {
 		t.Error("ParseType accepted an unknown type")
 	}
+}
+
+// parseTypeReference is ParseType as it was before EqualFoldHyphen,
+// normalizing both names into new strings; frozen as the reference the
+// allocation-free comparison must agree with.
+func parseTypeReference(s string) (Type, error) {
+	norm := func(v string) string {
+		return strings.ToLower(strings.ReplaceAll(v, "-", ""))
+	}
+	for _, t := range []Type{SingleThread, MultiThread, Graphics, BatteryLife} {
+		if norm(s) == norm(t.String()) {
+			return t, nil
+		}
+	}
+	return 0, fmt.Errorf("workload: unknown type %q (have Single-Thread, Multi-Thread, Graphics, Battery-Life)", s)
+}
+
+// typeNames are spellings on both sides of ParseType's accepted set:
+// case, hyphens anywhere, letters that lowercase to ASCII ("İ", the
+// Kelvin sign) or only fold to it ("ſ"), and invalid UTF-8.
+var typeNames = []string{
+	"Multi-Thread", "multi-thread", "MultiThread", "MULTITHREAD", "graphics", "-graphics-",
+	"g-r-a-p-h-i-c-s", "single-thread", "SİNGLE-THREAD", "ſingle-thread", "battery-life",
+	"Battery--Life", "", "-", "mining", "multi thread", " graphics", "graphic", "graphicss",
+	"Graphics\xff", "\xffGraphics", "\u212a", "grAphİcs", "Battery-Life-", "\ufffdGraphics",
+}
+
+// TestParseTypeMatchesReference pins ParseType to its frozen reference,
+// result and error text, and pins that it allocates nothing on success.
+func TestParseTypeMatchesReference(t *testing.T) {
+	for _, s := range typeNames {
+		got, err := ParseType(s)
+		want, wantErr := parseTypeReference(s)
+		if got != want || fmt.Sprint(err) != fmt.Sprint(wantErr) {
+			t.Errorf("ParseType(%q) = %v, %v; reference %v, %v", s, got, err, want, wantErr)
+		}
+	}
+	for s, ok := range map[string]bool{"SİNGLE-THREAD": true, "-graphics-": true, "ſingle-thread": false} {
+		if _, err := ParseType(s); (err == nil) != ok {
+			t.Errorf("ParseType(%q) error %v, want accepted=%v", s, err, ok)
+		}
+	}
+	if avg := testing.AllocsPerRun(100, func() {
+		if _, err := ParseType("battery-life"); err != nil {
+			t.Fatal(err)
+		}
+	}); avg != 0 {
+		t.Errorf("ParseType: %.1f allocs, want 0", avg)
+	}
+}
+
+// FuzzParseType compares ParseType with its frozen reference on any
+// string.
+func FuzzParseType(f *testing.F) {
+	for _, s := range typeNames {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		got, err := ParseType(s)
+		want, wantErr := parseTypeReference(s)
+		if got != want || fmt.Sprint(err) != fmt.Sprint(wantErr) {
+			t.Fatalf("ParseType(%q) = %v, %v; reference %v, %v", s, got, err, want, wantErr)
+		}
+	})
 }
