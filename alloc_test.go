@@ -11,11 +11,13 @@ import (
 	"math"
 	"testing"
 
+	"repro/flexwatts/api"
 	"repro/internal/core"
 	"repro/internal/domain"
 	"repro/internal/experiments"
 	"repro/internal/pdn"
 	"repro/internal/perf"
+	"repro/internal/server"
 	"repro/internal/sweep"
 	"repro/internal/workload"
 )
@@ -277,5 +279,23 @@ func TestCacheGridAllocs(t *testing.T) {
 	if hits, misses := c.Stats(); misses != int64(g.Len()) || hits < int64(10*g.Len()) {
 		t.Errorf("stats hits=%d misses=%d, want exactly %d misses and >=%d hits",
 			hits, misses, g.Len(), 10*g.Len())
+	}
+}
+
+// TestServeEvaluateAllocs caps what a warm 4096-point canonical
+// /v1/evaluate request allocates in the handler, middleware included.
+// Reading the body, scanning its points and writing the response reuse
+// pooled buffers, and the vocabulary names are interned, so what remains
+// is per request (the job slice, the batch's bookkeeping, the headers),
+// not per point. The reflective codec it replaced allocated 42,462.
+func TestServeEvaluateAllocs(t *testing.T) {
+	if raceDetectorEnabled {
+		t.Skip("race detector drops sync.Pool puts; pooled buffers reallocate")
+	}
+	h := server.New(benchEnv(t), server.Options{}).Handler()
+	serve := serveOnce(t, h, api.PathEvaluate, serveBody(t, "sweep", 4096))
+	serve() // grow the pooled buffers and the grid arena once
+	if avg := testing.AllocsPerRun(20, serve); avg > 256 {
+		t.Errorf("warm 4096-point evaluate: %.0f allocs per request, cap 256", avg)
 	}
 }

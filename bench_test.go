@@ -6,13 +6,17 @@
 package repro_test
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
+	"net/http"
 	"runtime"
 	"sync"
 	"testing"
 
+	"repro/flexwatts/api"
 	"repro/internal/core"
 	"repro/internal/cost"
 	"repro/internal/domain"
@@ -21,6 +25,7 @@ import (
 	"repro/internal/pdn"
 	"repro/internal/perf"
 	"repro/internal/refmodel"
+	"repro/internal/server"
 	"repro/internal/sim"
 	"repro/internal/sweep"
 	"repro/internal/units"
@@ -324,6 +329,100 @@ func BenchmarkOptimize(b *testing.B) {
 		candidates += res.Evaluated
 	}
 	b.ReportMetric(float64(candidates)/b.Elapsed().Seconds(), "candidates/s")
+}
+
+// serveBody is a canonical evaluate request body (json.Marshal of
+// api.EvalRequest, as the SDK sends) of n points. "sweep" is shaped like
+// perfbench's sweep-cold: the four baselines in turn, TDP-major with 32
+// ARs innermost. "flex" is FlexWatts points over TDP, workload type and
+// AR, with every eighth point in a package idle state.
+func serveBody(tb testing.TB, shape string, n int) []byte {
+	tb.Helper()
+	kinds := []string{"IVR", "MBVR", "LDO", "I+MBVR"}
+	types := []string{"Single-Thread", "Multi-Thread", "Graphics"}
+	pts := make([]api.EvalPoint, n)
+	for i := range pts {
+		switch shape {
+		case "sweep":
+			pts[i] = api.EvalPoint{PDN: kinds[i*4/n], TDP: 4 + float64(i/32%32)*1.375,
+				Workload: types[i*4/n%3], AR: 0.2 + 0.8*float64(i%32)/31}
+		case "flex":
+			pts[i] = api.EvalPoint{PDN: "FlexWatts", TDP: 4 + float64(i%23)*2, Workload: types[i%3], AR: 0.2 + 0.05*float64(i%17)}
+			if i%8 == 7 {
+				pts[i] = api.EvalPoint{PDN: "FlexWatts", TDP: 4 + float64(i%23)*2, CState: "C6"}
+			}
+		default:
+			tb.Fatalf("unknown body shape %q", shape)
+		}
+	}
+	b, err := json.Marshal(api.EvalRequest{Points: pts})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return b
+}
+
+// discardResponse is an http.ResponseWriter that keeps only the status and
+// the body length, so a handler measured through it pays for no recorder.
+type discardResponse struct {
+	header http.Header
+	status int
+	n      int
+}
+
+func (d *discardResponse) Header() http.Header { return d.header }
+
+func (d *discardResponse) WriteHeader(status int) { d.status = status }
+
+func (d *discardResponse) Write(b []byte) (int, error) {
+	d.n += len(b)
+	return len(b), nil
+}
+
+// serveOnce returns a function that serves body on path through h, in
+// process and without a connection, and fails tb unless it answers 200.
+func serveOnce(tb testing.TB, h http.Handler, path string, body []byte) func() {
+	tb.Helper()
+	rd := bytes.NewReader(body)
+	req, err := http.NewRequest(http.MethodPost, path, nil)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	req.Body = io.NopCloser(rd)
+	w := &discardResponse{header: http.Header{}}
+	return func() {
+		rd.Reset(body)
+		w.status, w.n = 0, 0
+		h.ServeHTTP(w, req)
+		if w.status != http.StatusOK || w.n == 0 {
+			tb.Fatalf("%s: status %d, %d bytes", path, w.status, w.n)
+		}
+	}
+}
+
+// BenchmarkServeEvaluate measures flexwattsd's evaluate handler on one
+// canonical request per iteration, HTTP transport excluded: decode, kernel
+// pass and encode. Sub-benchmarks mirror perfbench's served workloads.
+func BenchmarkServeEvaluate(b *testing.B) {
+	h := server.New(benchEnv(b), server.Options{}).Handler()
+	for _, bc := range []struct {
+		name, path, shape string
+		n                 int
+	}{
+		{"sweep-4096", api.PathEvaluate, "sweep", 4096},
+		{"flex-64", api.PathEvaluate, "flex", 64},
+		{"stream-4096", api.PathEvaluateStream, "sweep", 4096},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			serve := serveOnce(b, h, bc.path, serveBody(b, bc.shape, bc.n))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				serve()
+			}
+			b.ReportMetric(float64(bc.n)*float64(b.N)/b.Elapsed().Seconds(), "evals/s")
+		})
+	}
 }
 
 // BenchmarkTraceSim measures FlexWatts trace simulation throughput

@@ -7,6 +7,19 @@
 // grid kernels in one pass (internal/batch), which costs less than a
 // cache probe would.
 //
+// The two evaluate routes read and write their one schema without
+// reflection (codec.go). A request body is read once into a pooled
+// buffer. A canonical body, which is what json.Marshal of
+// api.EvalRequest writes, is scanned straight into points: the single key
+// "points", lowercase point keys each used once, strings of printable
+// ASCII without escapes, and numbers strconv.ParseFloat parses in range.
+// Every other body (case-folded or duplicate keys, escapes, null,
+// non-ASCII bytes, malformed or oversized input) goes to json.Decoder
+// with DisallowUnknownFields, so every spelling accepted before is still
+// accepted and every error reads as before. Results are appended as bytes
+// in exactly json.Encoder's rendering. The other routes, and the stream's
+// error lines, encode through encoding/json.
+//
 // The wire vocabulary — request/response bodies, endpoint paths, typed
 // sentinel errors and their status mapping — lives in repro/flexwatts/api,
 // shared with the flexwatts/client SDK so the two can never drift. Errors
@@ -266,11 +279,11 @@ func (s *Server) dataset(id string) (*report.Dataset, error) {
 	return m.ds, m.err
 }
 
-// evalCodec pools the response-encoding state of the hot /v1/evaluate
-// path: the JSON encoder and its backing buffer survive across requests,
-// so a steady batch load reuses one grown buffer per concurrent request
-// instead of allocating encoder state and response bytes each time. The
-// bytes produced are identical to writeJSON's (same indent, same trailing
+// evalCodec pools the response-encoding state of /v1/optimize: the JSON
+// encoder and its backing buffer survive across requests, so a steady
+// load reuses one grown buffer per concurrent request instead of
+// allocating encoder state and response bytes each time. The bytes
+// produced are identical to writeJSON's (same indent, same trailing
 // newline from Encode); only the allocation profile changes.
 type evalCodec struct {
 	buf bytes.Buffer
@@ -284,8 +297,8 @@ var evalCodecPool = sync.Pool{New: func() any {
 	return c
 }}
 
-// evalCodecMaxBytes bounds what returns to the pool, so one rare huge
-// response does not pin its buffer for the process lifetime.
+// evalCodecMaxBytes bounds what returns to the pools, so one rare huge
+// request or response does not pin its buffer for the process lifetime.
 const evalCodecMaxBytes = 1 << 20
 
 // writeJSONPooled renders v exactly as writeJSON does, through a pooled
@@ -489,12 +502,17 @@ func (s *Server) buildJob(p api.EvalPoint) (batch.Point, error) {
 // the two accept exactly the same points. On failure the error response
 // (uniform api.Error envelope) has been written and ok is false. A body
 // exceeding MaxBodyBytes is shed as api.ErrBatchTooLarge (413), matching
-// the point-count cap it approximates.
+// the point-count cap it approximates, unless a complete request precedes
+// the limit (json.Decoder reads no further than the value it decodes).
 func (s *Server) decodeEvalRequest(w http.ResponseWriter, r *http.Request) (jobs []batch.Point, ok bool) {
-	var req api.EvalRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	body := wireBufs.Get().(*[]byte)
+	defer putWireBuf(body)
+	pts := pointBufs.Get().(*[]api.EvalPoint)
+	defer putPointBuf(pts)
+	var readErr error
+	*body, readErr = readBody(http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes), (*body)[:0])
+	points, err := decodeEvalPoints(*body, readErr, pts)
+	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			writeErr(w, fmt.Errorf("%w: request body exceeds %d bytes", api.ErrBatchTooLarge, tooBig.Limit))
@@ -503,17 +521,17 @@ func (s *Server) decodeEvalRequest(w http.ResponseWriter, r *http.Request) (jobs
 		}
 		return nil, false
 	}
-	if len(req.Points) == 0 {
+	if len(points) == 0 {
 		writeErr(w, fmt.Errorf("%w: request has no points", api.ErrInvalidPoint))
 		return nil, false
 	}
-	if len(req.Points) > s.opts.MaxBatch {
+	if len(points) > s.opts.MaxBatch {
 		writeErr(w, fmt.Errorf("%w: %d points exceeds the %d-point batch cap",
-			api.ErrBatchTooLarge, len(req.Points), s.opts.MaxBatch))
+			api.ErrBatchTooLarge, len(points), s.opts.MaxBatch))
 		return nil, false
 	}
-	jobs = make([]batch.Point, len(req.Points))
-	for i, p := range req.Points {
+	jobs = make([]batch.Point, len(points))
+	for i, p := range points {
 		job, err := s.buildJob(p)
 		if err != nil {
 			writeErr(w, fmt.Errorf("point %d: %w: %v", i, api.ErrInvalidPoint, err))
@@ -522,18 +540,6 @@ func (s *Server) decodeEvalRequest(w http.ResponseWriter, r *http.Request) (jobs
 		jobs[i] = job
 	}
 	return jobs, true
-}
-
-// wireResult renders an evaluation into its wire form.
-func wireResult(job batch.Point, res pdn.Result) api.EvalResult {
-	return api.EvalResult{
-		PDN:    job.Kind.String(),
-		CState: job.Scenario.CState.String(),
-		ETEE:   res.ETEE,
-		PNom:   res.PNomTotal,
-		PIn:    res.PIn,
-		Loss:   res.PIn - res.PNomTotal,
-	}
 }
 
 func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
@@ -564,15 +570,19 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, fmt.Errorf("%w: point %d: %v", api.ErrEvaluation, i, err))
 		return
 	}
-	results := make([]api.EvalResult, len(jobs))
-	for i := range jobs {
-		out, _ := res.At(i)
-		results[i] = wireResult(jobs[i], out)
-	}
 	s.metrics.pointsTotal.Add(int64(len(jobs)))
 	workers := s.workers()
 	if workers > len(jobs) {
 		workers = len(jobs)
 	}
-	writeJSONPooled(w, http.StatusOK, api.EvalResponse{Results: results, Workers: workers})
+	buf := wireBufs.Get().(*[]byte)
+	defer putWireBuf(buf)
+	*buf, err = appendEvalResponse((*buf)[:0], jobs, res, workers)
+	if err != nil {
+		writeErr(w, fmt.Errorf("encoding response: %v", err))
+		return
+	}
+	w.Header().Set("Content-Type", "application/json; charset=utf-8")
+	w.WriteHeader(http.StatusOK)
+	w.Write(*buf) //nolint:errcheck // response already committed
 }

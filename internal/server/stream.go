@@ -19,15 +19,17 @@ const (
 	flushEvery     = 64
 )
 
-// streamCodec pools the per-stream write stack — the 32 KiB bufio.Writer
-// and the JSON encoder bound to it — so each stream request rebinds a
-// recycled buffer to its connection instead of allocating both. Before a
-// codec returns to the pool its writer is reset onto nil, dropping the
-// connection reference so a pooled codec never pins a finished request's
-// transport.
+// streamCodec pools the per-stream write stack — the 32 KiB bufio.Writer,
+// the line buffer results are appended into, and the JSON encoder that
+// writes error lines, whose messages need full escaping — so each stream
+// request rebinds a recycled buffer to its connection instead of
+// allocating them. Before a codec returns to the pool its writer is reset
+// onto nil, dropping the connection reference so a pooled codec never
+// pins a finished request's transport.
 type streamCodec struct {
-	bw  *bufio.Writer
-	enc *json.Encoder
+	bw   *bufio.Writer
+	line []byte
+	enc  *json.Encoder
 }
 
 var streamCodecPool = sync.Pool{New: func() any {
@@ -41,8 +43,7 @@ var streamCodecPool = sync.Pool{New: func() any {
 // in point order, flushed in chunks as the encoder writes them.
 //
 // The batch runs through the same one kernel pass as /v1/evaluate, and the
-// lines are encoded straight from its result blocks, so the stream never
-// builds the buffered endpoint's response value. A point's evaluation
+// lines are appended straight from its result blocks (appendStreamResult). A point's evaluation
 // failure becomes an error line (index-tagged, with the api wire code) and
 // the stream continues; a mid-stream client disconnect ends it.
 //
@@ -89,7 +90,7 @@ func (s *Server) handleEvaluateStream(w http.ResponseWriter, r *http.Request) {
 	flusher, _ := w.(http.Flusher)
 	sc := streamCodecPool.Get().(*streamCodec)
 	sc.bw.Reset(w)
-	bw, enc := sc.bw, sc.enc
+	bw := sc.bw
 	defer func() {
 		sc.bw.Reset(nil)
 		streamCodecPool.Put(sc)
@@ -99,18 +100,20 @@ func (s *Server) handleEvaluateStream(w http.ResponseWriter, r *http.Request) {
 	// gone: stop — there is no one left to tell, and the status line is
 	// long since committed.
 	for i := range jobs {
-		line := api.EvalStreamResult{Index: i}
 		out, err := res.At(i)
 		if err != nil {
-			line.Code = api.CodeFor(api.ErrEvaluation)
-			line.Error = err.Error()
+			line := api.EvalStreamResult{Index: i, Code: api.CodeFor(api.ErrEvaluation), Error: err.Error()}
+			if err := sc.enc.Encode(&line); err != nil {
+				return
+			}
 		} else {
-			wire := wireResult(jobs[i], out)
-			line.Result = &wire
 			s.metrics.pointsTotal.Inc()
-		}
-		if err := enc.Encode(&line); err != nil {
-			return
+			if sc.line, err = appendStreamResult(sc.line[:0], i, jobs[i], out); err != nil {
+				return
+			}
+			if _, err := bw.Write(sc.line); err != nil {
+				return
+			}
 		}
 		s.metrics.streamedTotal.Inc()
 		if (i+1)%flushEvery == 0 {
