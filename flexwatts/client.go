@@ -40,7 +40,8 @@ type Option func(*config)
 // WithParams evaluates with a custom PDNspot parameter set (load-lines,
 // tolerance bands, sharing penalties, PSU voltage) instead of the Table 2
 // calibration, enabling the multi-dimensional architecture-space
-// exploration the paper describes. Every point evaluates at Params.PSU;
+// exploration the paper describes. Every point evaluates, and every
+// Optimize candidate scores, at Params.PSU;
 // Algorithm 1's firmware tables stay characterized at the 7.2 V battery
 // voltage of Fig 3, so FlexWatts picks its mode as it would at 7.2 V.
 func WithParams(p Params) Option {

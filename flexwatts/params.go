@@ -12,8 +12,8 @@ package flexwatts
 type Params struct {
 	// PSU is the battery/PSU voltage feeding the motherboard VRs (7.2–20 V;
 	// 7.2 V matches the measured curves of Fig 3). Every point a Client
-	// evaluates runs at this voltage; Algorithm 1's firmware tables stay
-	// characterized at 7.2 V.
+	// evaluates, and every candidate Optimize scores, runs at this
+	// voltage; Algorithm 1's firmware tables stay characterized at 7.2 V.
 	PSU float64
 	// VINLevel is the first-stage output in the IVR PDN (typically 1.8 V).
 	VINLevel float64

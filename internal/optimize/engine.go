@@ -22,7 +22,8 @@ import (
 type Engine struct {
 	// Platform is the modeled SoC; nil means the paper's client platform.
 	Platform *domain.Platform
-	// Base is the parameter set the candidate scales apply to.
+	// Base is the parameter set the candidate scales apply to; every
+	// candidate scores at its supply voltage, Base.PSU.
 	Base pdn.Params
 	// Cache, when non-nil, is the shared (kind, scenario) evaluation
 	// cache for unscaled candidates.
@@ -45,8 +46,8 @@ type search struct {
 	spec Spec
 	// scenarios is the per-candidate scoring grid: the SPEC CPU2006
 	// operating points at the spec's TDP first, then the battery-life
-	// package states in canonical order. Every candidate evaluates this
-	// exact grid, so scores are comparable point for point.
+	// package states in canonical order, all at Base.PSU. Every candidate
+	// evaluates this exact grid, so scores are comparable point for point.
 	scenarios []pdn.Scenario
 	suite     workload.Suite
 	states    []domain.CState
@@ -128,6 +129,9 @@ func (e *Engine) newSearch(ctx context.Context, spec Spec) (*search, error) {
 	}
 	for _, st := range s.states {
 		s.scenarios = append(s.scenarios, workload.CStateScenario(plat, st))
+	}
+	for i := range s.scenarios {
+		s.scenarios[i].PSU = e.Base.PSU
 	}
 	byType := make(map[workload.Type]*perf.Curve)
 	s.curves = make([]*perf.Curve, len(s.suite.Workloads))

@@ -10,8 +10,10 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/domain"
 	"repro/internal/pdn"
 	"repro/internal/sweep"
+	"repro/internal/workload"
 )
 
 func testEngine(workers int) *Engine {
@@ -627,6 +629,48 @@ func BenchmarkOptimizeScore(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if cs := s.score(cfg); !cs.ok {
 			b.Fatal("infeasible")
+		}
+	}
+}
+
+// TestSearchScoresAtBasePSU pins that a search scores at Base.PSU: a 12 V
+// engine's IVR baseline input power is the IVR model's at 12 V, point for
+// point, and differs from the default 7.2 V engine's.
+func TestSearchScoresAtBasePSU(t *testing.T) {
+	p12 := pdn.DefaultParams()
+	p12.PSU = 12
+	spec, err := smallSpec().normalized()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s12, err := (&Engine{Base: p12, Workers: 1}).newSearch(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s72, err := testEngine(1).newSearch(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ivr, err := pdn.New(pdn.IVR, p12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plat := domain.NewClientPlatform()
+	for i, w := range s12.suite.Workloads {
+		sc, err := workload.TDPScenario(plat, spec.TDP, w.Type, w.AR)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sc.PSU = 12
+		want, err := ivr.Evaluate(sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s12.basePIn[i] != float64(want.PIn) {
+			t.Errorf("%s: 12 V baseline PIn %v, IVR model at 12 V %v", w.Name, s12.basePIn[i], want.PIn)
+		}
+		if s12.basePIn[i] == s72.basePIn[i] {
+			t.Errorf("%s: 12 V and 7.2 V baselines agree (%v)", w.Name, s12.basePIn[i])
 		}
 	}
 }
