@@ -91,15 +91,19 @@ slo:
 # Short-budget fuzz runs over the untrusted input surfaces, the evaluate
 # request (decoded, then served) and the public Point → Result path, plus
 # the §3.3 inversion against its reference bisection (same bits for any
-# TDP, workload type and budget) and the PDN kernels against their frozen
-# scalar oracle (same bits and errors for any scenario). -fuzz accepts one
-# package at a time, so four sequential invocations.
+# TDP, workload type and budget), the PDN kernels against their frozen
+# scalar oracle (same bits and errors for any scenario), and the evaluate
+# wire codec against encoding/json (the scanner against json.Decoder on
+# any body it accepts, float rendering against json.Marshal for any bits).
+# -fuzz accepts one target at a time, so six sequential invocations.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzEvaluateRequest$$' -fuzztime $(FUZZTIME) ./internal/server
 	$(GO) test -run '^$$' -fuzz '^FuzzEvaluateBatch$$' -fuzztime $(FUZZTIME) ./flexwatts
 	$(GO) test -run '^$$' -fuzz '^FuzzFreqRatio$$' -fuzztime $(FUZZTIME) ./internal/perf
 	$(GO) test -run '^$$' -fuzz '^FuzzEvaluateOracle$$' -fuzztime $(FUZZTIME) ./internal/pdn
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeEvalPoints$$' -fuzztime $(FUZZTIME) ./internal/server
+	$(GO) test -run '^$$' -fuzz '^FuzzAppendFloat$$' -fuzztime $(FUZZTIME) ./internal/server
 
 lint:
 	$(GO) vet ./...
