@@ -27,7 +27,7 @@ SLO_LABEL ?= slo
 STATICCHECK_VERSION ?= 2025.1.1
 GOVULNCHECK_VERSION ?= v1.1.4
 
-.PHONY: all build test race bench bench-json bench-check perfbench-check lint fmt ci smoke slo fuzz-smoke staticcheck govulncheck
+.PHONY: all build test race bench bench-json bench-check perfbench-check perfbench-ab lint fmt ci smoke slo fuzz-smoke staticcheck govulncheck
 
 all: build test
 
@@ -73,6 +73,22 @@ bench-check:
 # it here so a change to those packages cannot break the benchmark unseen.
 perfbench-check:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
+# Paired end-to-end runs against another revision: BASE's perfbench, built
+# from a local git worktree under .bench_build/, and this checkout's run
+# PAIRS pairs of WORKLOAD for SECONDS each on seeds SEED+1..SEED+PAIRS,
+# alternating which side goes first. Every run's JSON line is kept in
+# .bench_build/ab/WORKLOAD.jsonl, and benchjson -pairs prints each metric's
+# medians, quartiles and pairs won, and whether a claimed gain holds (the
+# change wins at least 9 pairs in 10 and its median is beyond the base's
+# interquartile range).
+BASE ?= HEAD
+WORKLOAD ?= sweep-cold
+PAIRS ?= 10
+SECONDS ?= 20
+SEED ?= 1000
+perfbench-ab:
+	bash scripts/perfbench_ab.sh '$(BASE)' '$(WORKLOAD)' '$(PAIRS)' '$(SECONDS)' '$(SEED)'
 
 # Boot the flexwattsd daemon (built with -race), hit every endpoint class,
 # and diff the served ASCII bodies against the committed goldens.

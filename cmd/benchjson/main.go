@@ -20,6 +20,19 @@
 // kernels' points/s) dropping below baseline×(1−tol):
 //
 //	go test -run '^$' -bench . -benchmem . | benchjson -check -baseline BENCH_8.json -tolerance 0.15
+//
+// With -pairs, benchjson summarizes paired perfbench runs of a base
+// revision and a change, as `make perfbench-ab` records them: one JSON
+// object per run on stdin, {"side": "base"|"change", "pair", "seed",
+// "result"}, where result is perfbench's final line. Per metric it prints
+// each side's median and quartiles, the change/base ratio of the medians,
+// the pairs the change won (ties count for neither), and whether the gain
+// rule holds: the change won at least nine tenths of the pairs and its
+// median beats the base's by more than the base's interquartile range. A
+// unit ending in "/s" is better higher, every other unit lower. It exits
+// 1 when a run printed no result or answered wrongly:
+//
+//	benchjson -pairs < .bench_build/ab/sweep-cold.jsonl
 package main
 
 import (
@@ -283,11 +296,15 @@ func run(stdin io.Reader, stdout, stderr io.Writer, args []string) int {
 	baseline := fs.String("baseline", "", "baseline BENCH_<pr>.json document for -check")
 	against := fs.String("against", "current", "run label inside -baseline to compare with")
 	tolerance := fs.Float64("tolerance", 0.15, "allowed fractional regression in -check mode")
+	doPairs := fs.Bool("pairs", false, "summarize paired perfbench runs (make perfbench-ab's JSON lines) from stdin")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return 0
 		}
 		return 2
+	}
+	if *doPairs {
+		return summarizePairs(stdin, stdout, stderr)
 	}
 	if *doCheck {
 		return check(stdin, stdout, stderr, *baseline, *against, *tolerance)

@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -204,5 +205,68 @@ func TestCheckGateFlagErrors(t *testing.T) {
 				t.Errorf("exit 0, want non-zero; stderr:\n%s", errOut.String())
 			}
 		})
+	}
+}
+
+// abLine is one perfbench A/B record line with two end-to-end metrics.
+func abLine(side string, pair int, evals, latency float64) string {
+	return fmt.Sprintf(`{"side":%q,"pair":%d,"seed":%d,"result":{"correct":true,"attempted":100,"failed":1,`+
+		`"metrics":{"evals_per_s":{"value":%g,"unit":"1/s"},"latency_mean_ms":{"value":%g,"unit":"ms"}}}}`+"\n",
+		side, pair, 100+pair, evals, latency)
+}
+
+// TestPairs pins the A/B summary: medians and quartiles per side, the
+// pairs won in each metric's better direction, and the gain rule. Here
+// evals/s wins every pair by far more than the base's IQR (a gain), and
+// latency wins 9 of 10 pairs but by less than the base's IQR (no gain).
+func TestPairs(t *testing.T) {
+	var in strings.Builder
+	for i := 1; i <= 10; i++ {
+		// Alternate which side comes first, as the runs do.
+		lat := 10 + float64(i)
+		change := abLine("change", i, 200+float64(i), lat-0.5)
+		if i == 3 {
+			change = abLine("change", i, 200+float64(i), lat+0.5)
+		}
+		if i%2 == 1 {
+			in.WriteString(abLine("base", i, 100+float64(i), lat) + change)
+		} else {
+			in.WriteString(change + abLine("base", i, 100+float64(i), lat))
+		}
+	}
+	var out, errOut strings.Builder
+	if code := run(strings.NewReader(in.String()), &out, &errOut, []string{"-pairs"}); code != 0 {
+		t.Fatalf("exit %d: %s", code, errOut.String())
+	}
+	for _, want := range []string{
+		"base   10 runs, 10 correct, 10 of 1000 operations failed",
+		// base 101..110: median 105.5, quartiles at 103.25 and 107.75.
+		"evals_per_s",
+		"105.5 [103.2, 107.8]",
+		"205.5 [203.2, 207.8]",
+		"1.948",
+		"10/10  holds",
+		"15.5 [13.25, 17.75]",
+		"9/10   no",
+	} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("summary lacks %q:\n%s", want, out.String())
+		}
+	}
+}
+
+// TestPairsFailedRun pins that a run without a result, or with wrong
+// answers, fails the summary.
+func TestPairsFailedRun(t *testing.T) {
+	wrong := strings.Replace(abLine("change", 1, 2, 1), `"correct":true`, `"correct":false`, 1)
+	for name, in := range map[string]string{
+		"no result": abLine("base", 1, 1, 1) + `{"side":"change","pair":1,"seed":101,"result":null}` + "\n",
+		"wrong":     abLine("base", 1, 1, 1) + wrong,
+		"bad side":  `{"side":"parent","pair":1,"result":null}` + "\n",
+	} {
+		var out, errOut strings.Builder
+		if code := run(strings.NewReader(in), &out, &errOut, []string{"-pairs"}); code != 1 {
+			t.Errorf("%s: exit %d, want 1; stderr %s", name, code, errOut.String())
+		}
 	}
 }
