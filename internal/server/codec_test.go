@@ -3,9 +3,11 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"testing"
 
 	"repro/flexwatts/api"
@@ -80,6 +82,49 @@ func TestServedBytesMatchEncoder(t *testing.T) {
 	if n := bytes.Count(served, []byte("\n")); n != len(pts) || len(resp.Results) != len(pts) {
 		t.Errorf("%d points: %d results, %d stream lines", len(pts), len(resp.Results), n)
 	}
+}
+
+// TestConcurrentEvaluateBodies serves distinct bodies on both evaluate
+// routes from many goroutines at once, so the pooled request, point and
+// response buffers change hands between requests: every answer must equal
+// the one its body gets served alone.
+func TestConcurrentEvaluateBodies(t *testing.T) {
+	envOnce.Do(func() { envVal, envErr = experiments.NewEnv() })
+	if envErr != nil {
+		t.Fatal(envErr)
+	}
+	h := New(envVal, Options{}).Handler()
+	serve := func(path, body string) string {
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, path, bytes.NewReader([]byte(body))))
+		return fmt.Sprint(w.Code, w.Body.String())
+	}
+	type request struct{ path, body, want string }
+	var reqs []request
+	for i := 0; i < 8; i++ {
+		body := arBatch(50 + 40*i)
+		if i%3 == 2 {
+			body = `{"Points":[{"pdn":"ldo","cstate":"c6"}]}` // decoded by json.Decoder
+		}
+		for _, path := range []string{api.PathEvaluate, api.PathEvaluateStream} {
+			reqs = append(reqs, request{path, body, serve(path, body)})
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for k := 0; k < 3*len(reqs); k++ {
+				r := reqs[(g+k)%len(reqs)]
+				if got := serve(r.path, r.body); got != r.want {
+					t.Errorf("%s, body %.40s: concurrent answer differs from the serial one", r.path, r.body)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }
 
 // TestAppendResultMatchesEncoder pins one result in both of the codec's

@@ -43,9 +43,10 @@ var streamCodecPool = sync.Pool{New: func() any {
 // in point order, flushed in chunks as the encoder writes them.
 //
 // The batch runs through the same one kernel pass as /v1/evaluate, and the
-// lines are appended straight from its result blocks (appendStreamResult). A point's evaluation
-// failure becomes an error line (index-tagged, with the api wire code) and
-// the stream continues; a mid-stream client disconnect ends it.
+// lines are appended straight from its result blocks (appendStreamResult).
+// A point's evaluation failure becomes an error line (index-tagged, with
+// the api wire code) and the stream continues; a mid-stream client
+// disconnect ends it.
 //
 // Validation failures (malformed body, unknown vocabulary, batch cap) are
 // still whole-request errors: they are detected before the first byte is
