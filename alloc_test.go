@@ -284,10 +284,10 @@ func TestCacheGridAllocs(t *testing.T) {
 
 // TestServeEvaluateAllocs caps what a warm 4096-point canonical
 // /v1/evaluate request allocates in the handler, middleware included.
-// Reading the body, scanning its points and writing the response reuse
-// pooled buffers, and the vocabulary names are interned, so what remains
-// is per request (the job slice, the batch's bookkeeping, the headers),
-// not per point. The reflective codec it replaced allocated 42,462.
+// The body, the scanned points, the jobs and the response reuse one
+// pooled request state, and the vocabulary names are interned, so what
+// remains is per request (the batch's bookkeeping, the headers), not per
+// point. The reflective codec it replaced allocated 42,462.
 func TestServeEvaluateAllocs(t *testing.T) {
 	if raceDetectorEnabled {
 		t.Skip("race detector drops sync.Pool puts; pooled buffers reallocate")

@@ -20,7 +20,7 @@ import (
 // The evaluate routes' wire codec. Both routes speak one schema, so they
 // read and write it without reflection:
 //
-//   - A request body is read once into a pooled buffer. scanEvalPoints
+//   - A request body is read once into a pooled evalRequest. scanEvalPoints
 //     reads a canonical body (see there) straight into []api.EvalPoint;
 //     any other body goes to json.Decoder with DisallowUnknownFields, the
 //     decoder every body went through before, so every spelling it accepts
@@ -29,28 +29,33 @@ import (
 //     blocks, in exactly the bytes json.Encoder writes for
 //     api.EvalResponse (indented) and api.EvalStreamResult (one line).
 
-// wireBufs recycles request bodies and buffered responses. Buffers grown
-// past evalCodecMaxBytes are dropped instead, as in evalCodecPool.
-var wireBufs = sync.Pool{New: func() any { return new([]byte) }}
-
-func putWireBuf(b *[]byte) {
-	if cap(*b) <= evalCodecMaxBytes {
-		*b = (*b)[:0]
-		wireBufs.Put(b)
-	}
+// evalRequest is one evaluate request's working memory: its body, the
+// points scanned from it, the jobs built from them and, on /v1/evaluate,
+// the response. It is pooled, so a steady load reuses grown buffers
+// instead of allocating them for every request.
+type evalRequest struct {
+	body   []byte
+	points []api.EvalPoint
+	jobs   []batch.Point
+	out    []byte
 }
 
-// pointBufs recycles the scanned points of a request, up to the same
-// memory bound.
-var pointBufs = sync.Pool{New: func() any { return new([]api.EvalPoint) }}
+var evalRequests = sync.Pool{New: func() any { return new(evalRequest) }}
 
-const maxPooledPoints = evalCodecMaxBytes / int(unsafe.Sizeof(api.EvalPoint{}))
+// release returns q to the pool. A buffer grown past evalCodecMaxBytes is
+// dropped instead, so one rare huge request does not pin its memory for
+// the process lifetime.
+func (q *evalRequest) release() {
+	q.body, q.points, q.jobs, q.out = reuse(q.body), reuse(q.points), reuse(q.jobs), reuse(q.out)
+	evalRequests.Put(q)
+}
 
-func putPointBuf(p *[]api.EvalPoint) {
-	if cap(*p) <= maxPooledPoints {
-		*p = (*p)[:0]
-		pointBufs.Put(p)
+func reuse[T any](s []T) []T {
+	var zero T
+	if uintptr(cap(s))*unsafe.Sizeof(zero) > evalCodecMaxBytes {
+		return nil
 	}
+	return s[:0]
 }
 
 // readBody appends everything r yields to b. It stops at the first error

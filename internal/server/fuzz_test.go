@@ -44,7 +44,7 @@ func FuzzEvaluateRequest(f *testing.F) {
 	f.Fuzz(func(t *testing.T, body []byte) {
 		w := httptest.NewRecorder()
 		r := httptest.NewRequest(http.MethodPost, "/v1/evaluate", bytes.NewReader(body))
-		jobs, ok := s.decodeEvalRequest(w, r)
+		req, ok := s.decodeEvalRequest(w, r)
 		if !ok {
 			if w.Body.Len() == 0 {
 				t.Fatal("rejected without writing an error envelope")
@@ -54,7 +54,9 @@ func FuzzEvaluateRequest(f *testing.F) {
 			}
 			return
 		}
-		if len(jobs) == 0 {
+		jobs := len(req.jobs)
+		req.release()
+		if jobs == 0 {
 			t.Fatal("ok with zero jobs")
 		}
 		if w.Body.Len() != 0 {
@@ -68,8 +70,8 @@ func FuzzEvaluateRequest(f *testing.F) {
 			if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
 				t.Fatalf("200 body is not an evaluate response: %v", err)
 			}
-			if len(resp.Results) != len(jobs) {
-				t.Fatalf("%d results for %d accepted points", len(resp.Results), len(jobs))
+			if len(resp.Results) != jobs {
+				t.Fatalf("%d results for %d accepted points", len(resp.Results), jobs)
 			}
 			return
 		}

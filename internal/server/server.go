@@ -55,6 +55,7 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -498,58 +499,64 @@ func (s *Server) buildJob(p api.EvalPoint) (batch.Point, error) {
 }
 
 // decodeEvalRequest reads and validates an evaluate request body into
-// batch points — shared by the buffered and streaming endpoints, so
-// the two accept exactly the same points. On failure the error response
-// (uniform api.Error envelope) has been written and ok is false. A body
-// exceeding MaxBodyBytes is shed as api.ErrBatchTooLarge (413), matching
-// the point-count cap it approximates, unless a complete request precedes
-// the limit (json.Decoder reads no further than the value it decodes).
-func (s *Server) decodeEvalRequest(w http.ResponseWriter, r *http.Request) (jobs []batch.Point, ok bool) {
-	body := wireBufs.Get().(*[]byte)
-	defer putWireBuf(body)
-	pts := pointBufs.Get().(*[]api.EvalPoint)
-	defer putPointBuf(pts)
+// batch points (req.jobs) — shared by the buffered and streaming
+// endpoints, so the two accept exactly the same points. The caller
+// releases req once it is done with the jobs. On failure the error
+// response (uniform api.Error envelope) has been written and ok is false.
+// A body exceeding MaxBodyBytes is shed as api.ErrBatchTooLarge (413),
+// matching the point-count cap it approximates, unless a complete request
+// precedes the limit (json.Decoder reads no further than the value it
+// decodes).
+func (s *Server) decodeEvalRequest(w http.ResponseWriter, r *http.Request) (req *evalRequest, ok bool) {
+	req = evalRequests.Get().(*evalRequest)
+	if err := s.readEvalRequest(w, r, req); err != nil {
+		req.release()
+		writeErr(w, err)
+		return nil, false
+	}
+	return req, true
+}
+
+// readEvalRequest reads, decodes and validates the body into req.jobs.
+func (s *Server) readEvalRequest(w http.ResponseWriter, r *http.Request, req *evalRequest) error {
 	var readErr error
-	*body, readErr = readBody(http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes), (*body)[:0])
-	points, err := decodeEvalPoints(*body, readErr, pts)
+	req.body, readErr = readBody(http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes), req.body)
+	points, err := decodeEvalPoints(req.body, readErr, &req.points)
 	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
-			writeErr(w, fmt.Errorf("%w: request body exceeds %d bytes", api.ErrBatchTooLarge, tooBig.Limit))
-		} else {
-			writeErr(w, fmt.Errorf("%w: bad request body: %v", api.ErrInvalidPoint, err))
+			return fmt.Errorf("%w: request body exceeds %d bytes", api.ErrBatchTooLarge, tooBig.Limit)
 		}
-		return nil, false
+		return fmt.Errorf("%w: bad request body: %v", api.ErrInvalidPoint, err)
 	}
 	if len(points) == 0 {
-		writeErr(w, fmt.Errorf("%w: request has no points", api.ErrInvalidPoint))
-		return nil, false
+		return fmt.Errorf("%w: request has no points", api.ErrInvalidPoint)
 	}
 	if len(points) > s.opts.MaxBatch {
-		writeErr(w, fmt.Errorf("%w: %d points exceeds the %d-point batch cap",
-			api.ErrBatchTooLarge, len(points), s.opts.MaxBatch))
-		return nil, false
+		return fmt.Errorf("%w: %d points exceeds the %d-point batch cap",
+			api.ErrBatchTooLarge, len(points), s.opts.MaxBatch)
 	}
-	jobs = make([]batch.Point, len(points))
+	req.jobs = slices.Grow(req.jobs, len(points))[:len(points)]
 	for i, p := range points {
 		job, err := s.buildJob(p)
 		if err != nil {
-			writeErr(w, fmt.Errorf("point %d: %w: %v", i, api.ErrInvalidPoint, err))
-			return nil, false
+			return fmt.Errorf("point %d: %w: %v", i, api.ErrInvalidPoint, err)
 		}
-		jobs[i] = job
+		req.jobs[i] = job
 	}
-	return jobs, true
+	return nil
 }
 
 func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 	if !allow(w, r, http.MethodPost) {
 		return
 	}
-	jobs, ok := s.decodeEvalRequest(w, r)
+	req, ok := s.decodeEvalRequest(w, r)
 	if !ok {
 		return
 	}
+	defer req.release()
+	jobs := req.jobs
 	release, ok := s.admit(w, r, len(jobs))
 	if !ok {
 		return
@@ -575,14 +582,12 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 	if workers > len(jobs) {
 		workers = len(jobs)
 	}
-	buf := wireBufs.Get().(*[]byte)
-	defer putWireBuf(buf)
-	*buf, err = appendEvalResponse((*buf)[:0], jobs, res, workers)
+	req.out, err = appendEvalResponse(req.out, jobs, res, workers)
 	if err != nil {
 		writeErr(w, fmt.Errorf("encoding response: %v", err))
 		return
 	}
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")
 	w.WriteHeader(http.StatusOK)
-	w.Write(*buf) //nolint:errcheck // response already committed
+	w.Write(req.out) //nolint:errcheck // response already committed
 }

@@ -55,10 +55,12 @@ func (s *Server) handleEvaluateStream(w http.ResponseWriter, r *http.Request) {
 	if !allow(w, r, http.MethodPost) {
 		return
 	}
-	jobs, ok := s.decodeEvalRequest(w, r)
+	req, ok := s.decodeEvalRequest(w, r)
 	if !ok {
 		return
 	}
+	defer req.release()
+	jobs := req.jobs
 	release, ok := s.admit(w, r, len(jobs))
 	if !ok {
 		return
