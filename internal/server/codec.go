@@ -81,18 +81,17 @@ type errReader struct{ err error }
 
 func (r errReader) Read([]byte) (int, error) { return 0, r.err }
 
-// decodeEvalPoints returns the points of an evaluate request body, read
-// into *buf when the body is canonical. readErr is the error that ended
-// reading the body, if any: json.Decoder sees the body's bytes and then
-// that error, as it would have reading the request itself, so a complete
-// value before the error still decodes and a cut one reports the error.
-func decodeEvalPoints(body []byte, readErr error, buf *[]api.EvalPoint) ([]api.EvalPoint, error) {
-	pts, ok := scanEvalPoints(body, *buf)
-	*buf = pts
-	if ok {
-		return pts, nil
+// decode returns the points of the request body, scanned into q.points
+// when the body is canonical. readErr is the error that ended reading the
+// body, if any: json.Decoder sees the body's bytes and then that error, as
+// it would have reading the request itself, so a complete value before
+// the error still decodes and a cut one reports the error.
+func (q *evalRequest) decode(readErr error) ([]api.EvalPoint, error) {
+	var ok bool
+	if q.points, ok = scanEvalPoints(q.body, q.points); ok {
+		return q.points, nil
 	}
-	var src io.Reader = bytes.NewReader(body)
+	var src io.Reader = bytes.NewReader(q.body)
 	if readErr != nil {
 		src = io.MultiReader(src, errReader{readErr})
 	}

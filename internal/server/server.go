@@ -521,7 +521,7 @@ func (s *Server) decodeEvalRequest(w http.ResponseWriter, r *http.Request) (req 
 func (s *Server) readEvalRequest(w http.ResponseWriter, r *http.Request, req *evalRequest) error {
 	var readErr error
 	req.body, readErr = readBody(http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes), req.body)
-	points, err := decodeEvalPoints(req.body, readErr, &req.points)
+	points, err := req.decode(readErr)
 	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
