@@ -108,10 +108,11 @@ slo:
 # request (decoded, then served) and the public Point → Result path, plus
 # the §3.3 inversion against its reference bisection (same bits for any
 # TDP, workload type and budget), the PDN kernels against their frozen
-# scalar oracle (same bits and errors for any scenario), and the evaluate
+# scalar oracle (same bits and errors for any scenario), the evaluate
 # wire codec against encoding/json (the scanner against json.Decoder on
-# any body it accepts, float rendering against json.Marshal for any bits).
-# -fuzz accepts one target at a time, so six sequential invocations.
+# any body it accepts, float rendering against json.Marshal for any bits),
+# and domain.LeakPow against math.Pow(x, 2.8) (same bits for any x).
+# -fuzz accepts one target at a time, so seven sequential invocations.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzEvaluateRequest$$' -fuzztime $(FUZZTIME) ./internal/server
@@ -120,6 +121,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzEvaluateOracle$$' -fuzztime $(FUZZTIME) ./internal/pdn
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeEvalPoints$$' -fuzztime $(FUZZTIME) ./internal/server
 	$(GO) test -run '^$$' -fuzz '^FuzzAppendFloat$$' -fuzztime $(FUZZTIME) ./internal/server
+	$(GO) test -run '^$$' -fuzz '^FuzzLeakPow$$' -fuzztime $(FUZZTIME) ./internal/domain
 
 lint:
 	$(GO) vet ./...

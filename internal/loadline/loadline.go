@@ -28,7 +28,7 @@ import (
 // depends only on (vnom, vgb, fl) — not on the power flowing through — and
 // evaluation workloads revisit the same handful of operating voltages
 // millions of times (the reference simulator perturbs only PNom), so the
-// math.Pow in Eq. 2 is worth memoizing.
+// domain.LeakPow in Eq. 2 is worth memoizing: a hit still costs less.
 type gbEntry struct {
 	vnom, vgb units.Volt
 	fl        float64
@@ -37,8 +37,8 @@ type gbEntry struct {
 
 // gbCache is a 4-way set-associative, lock-free memo for GuardbandScale.
 // Each slot is an atomic pointer to an immutable entry: a hit is one cheap
-// hand hash, a pointer load and three float compares — far cheaper than
-// either math.Pow or a runtime map lookup. A miss fills the first empty way
+// hand hash, a pointer load and three float compares — cheaper than either
+// domain.LeakPow or a runtime map lookup. A miss fills the first empty way
 // of its set and only evicts (way 0, last writer wins) when the whole set
 // is full, so colliding hot keys coexist instead of thrashing allocations.
 // GuardbandScale is a pure function, so a cached hit returns the exact
@@ -69,7 +69,7 @@ func rawGuardbandScale(vnom, vgb units.Volt, fl float64) float64 {
 	units.CheckNonNegative("vgb", vgb)
 	units.CheckFraction("fl", fl)
 	ratio := (vnom + vgb) / vnom
-	return fl*math.Pow(ratio, domain.LeakVoltageExp) + (1-fl)*ratio*ratio
+	return fl*domain.LeakPow(ratio) + (1-fl)*ratio*ratio
 }
 
 // GuardbandScale returns the factor by which a domain's power grows when its

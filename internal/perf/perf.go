@@ -62,7 +62,7 @@ const (
 	windowRel = 1e-12
 	// marginRel is the verification margin relative to the target power.
 	// At 2⁻⁴⁴ (512 ulps) it is dozens of times cost's relative rounding
-	// error (about a dozen roundings, math.Pow's included, of an ulp or
+	// error (about a dozen roundings, LeakPow's included, of an ulp or
 	// less each) and at most a quarter of the cost change across half
 	// the window.
 	marginRel = 0x1p-44
@@ -150,7 +150,7 @@ func (c *Curve) cost(r float64) units.Watt {
 		f1 := m.f0 * r
 		v1 := m.curve.VoltageAt(f1)
 		dyn := m.dyn * (v1 * v1 * f1) / m.den
-		leak := m.leak * math.Pow(v1/m.v0, domain.LeakVoltageExp)
+		leak := m.leak * domain.LeakPow(v1/m.v0)
 		sum += dyn + leak
 	}
 	return sum
@@ -170,7 +170,7 @@ func (c *Curve) costSlope(r float64) (units.Watt, float64) {
 			dv = m.curve.B * m.f0 / units.Giga
 		}
 		dyn := m.dyn * (v1 * v1 * f1) / m.den
-		leak := m.leak * math.Pow(v1/m.v0, domain.LeakVoltageExp)
+		leak := m.leak * domain.LeakPow(v1/m.v0)
 		sum += dyn + leak
 		slope += dyn*(2*dv/v1+1/r) + domain.LeakVoltageExp*leak*dv/v1
 	}
