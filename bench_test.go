@@ -11,6 +11,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
+	"math/rand"
 	"net/http"
 	"runtime"
 	"sync"
@@ -423,6 +425,32 @@ func BenchmarkServeEvaluate(b *testing.B) {
 			b.ReportMetric(float64(bc.n)*float64(b.N)/b.Elapsed().Seconds(), "evals/s")
 		})
 	}
+}
+
+// BenchmarkServeOptimize measures flexwattsd's optimize handler, HTTP
+// transport excluded: decode, search and encode, the optimize counterpart
+// of BenchmarkServeEvaluate. Its bodies are shaped like perfbench's
+// optimize workload: exhaustive searches at loadline scale 1 (5 PDNs × 3
+// guardband scales = 15 candidates) at 8 seeded TDPs, served in turn.
+func BenchmarkServeOptimize(b *testing.B) {
+	const candidates = 15
+	h := server.New(benchEnv(b), server.Options{}).Handler()
+	rng := rand.New(rand.NewSource(1))
+	serves := make([]func(), 8)
+	for i := range serves {
+		tdp := math.Round((4+46*rng.Float64())*100) / 100
+		body, err := json.Marshal(api.OptimizeRequest{TDP: tdp, LoadlineScales: []float64{1}, Strategy: "exhaustive"})
+		if err != nil {
+			b.Fatal(err)
+		}
+		serves[i] = serveOnce(b, h, api.PathOptimize, body)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		serves[i%len(serves)]()
+	}
+	b.ReportMetric(candidates*float64(b.N)/b.Elapsed().Seconds(), "candidates/s")
 }
 
 // BenchmarkTraceSim measures FlexWatts trace simulation throughput

@@ -3,6 +3,7 @@ package optimize
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/cost"
@@ -44,19 +45,25 @@ type Engine struct {
 type search struct {
 	e    *Engine
 	spec Spec
-	// scenarios is the per-candidate scoring grid: the SPEC CPU2006
-	// operating points at the spec's TDP first, then the battery-life
-	// package states in canonical order, all at Base.PSU. Every candidate
-	// evaluates this exact grid, so scores are comparable point for point.
+	// scenarios is the per-candidate scoring grid: the distinct SPEC
+	// CPU2006 operating points at the spec's TDP in order of first
+	// appearance, then the battery-life package states in canonical
+	// order, all at Base.PSU. Every candidate evaluates this exact grid,
+	// so scores are comparable point for point.
 	scenarios []pdn.Scenario
 	suite     workload.Suite
-	states    []domain.CState
-	battery   []workload.BatteryWorkload
+	// point[i] is the index in scenarios of suite workload i's operating
+	// point. Workloads of one type and AR share a point: TDPScenario and
+	// perf.NewCurve are pure, so they would get the same scenario, the
+	// same results and the same inversion anyway.
+	point   []int
+	states  []domain.CState
+	battery []workload.BatteryWorkload
 	// basePIn is the base-parameter IVR baseline's input power per perf
-	// scenario — the savedIn reference of the §3.3 performance model.
+	// point — the savedIn reference of the §3.3 performance model.
 	basePIn []float64
-	// curves[i] is the §3.3 power-frequency curve of perf workload i's
-	// type at the spec's TDP; workloads of one type share one curve.
+	// curves[p] is the §3.3 power-frequency curve of perf point p's
+	// workload type at the spec's TDP; points of one type share one curve.
 	curves []*perf.Curve
 	// baseBOM/baseArea are cost.Normalized's per-kind tables at the TDP
 	// (normalized to base IVR); candidate scale premiums multiply them.
@@ -119,28 +126,35 @@ func (e *Engine) newSearch(ctx context.Context, spec Spec) (*search, error) {
 		states:  batteryStates(),
 		battery: workload.BatteryLifeWorkloads(),
 	}
-	s.scenarios = make([]pdn.Scenario, 0, len(s.suite.Workloads)+len(s.states))
-	for _, w := range s.suite.Workloads {
+	nw := len(s.suite.Workloads)
+	s.scenarios = make([]pdn.Scenario, 0, nw+len(s.states))
+	s.curves = make([]*perf.Curve, 0, nw)
+	s.point = make([]int, nw)
+	byType := make(map[workload.Type]*perf.Curve)
+	for i, w := range s.suite.Workloads {
+		if j := slices.IndexFunc(s.suite.Workloads[:i], func(v workload.Workload) bool {
+			return v.Type == w.Type && v.AR == w.AR
+		}); j >= 0 {
+			s.point[i] = s.point[j]
+			continue
+		}
 		sc, err := workload.TDPScenario(plat, spec.TDP, w.Type, w.AR)
 		if err != nil {
 			return nil, fmt.Errorf("optimize: baseline scenario %s: %w", w.Name, err)
 		}
+		if byType[w.Type] == nil {
+			c := perf.NewCurve(plat, spec.TDP, w.Type)
+			byType[w.Type] = &c
+		}
+		s.point[i] = len(s.scenarios)
 		s.scenarios = append(s.scenarios, sc)
+		s.curves = append(s.curves, byType[w.Type])
 	}
 	for _, st := range s.states {
 		s.scenarios = append(s.scenarios, workload.CStateScenario(plat, st))
 	}
 	for i := range s.scenarios {
 		s.scenarios[i].PSU = e.Base.PSU
-	}
-	byType := make(map[workload.Type]*perf.Curve)
-	s.curves = make([]*perf.Curve, len(s.suite.Workloads))
-	for i, w := range s.suite.Workloads {
-		if byType[w.Type] == nil {
-			c := perf.NewCurve(plat, spec.TDP, w.Type)
-			byType[w.Type] = &c
-		}
-		s.curves[i] = byType[w.Type]
 	}
 	var err error
 	s.baseBOM, s.baseArea, err = cost.Normalized(plat, spec.TDP)
@@ -161,9 +175,9 @@ func (e *Engine) newSearch(ctx context.Context, spec Spec) (*search, error) {
 	if err := sweep.GridMapCtx(ctx, e.Workers, e.Cache, base, g, out, 0); err != nil {
 		return nil, fmt.Errorf("optimize: baseline sweep: %w", err)
 	}
-	s.basePIn = make([]float64, len(s.suite.Workloads))
-	for i := range s.suite.Workloads {
-		s.basePIn[i] = out[i].PIn
+	s.basePIn = make([]float64, len(s.curves))
+	for p := range s.basePIn {
+		s.basePIn[p] = out[p].PIn
 	}
 	refCfg := Config{Kind: pdn.IVR, LoadlineScale: 1, GuardbandScale: 1, VRScale: 1}
 	ref, ok := s.scoresFrom(refCfg, out)
@@ -230,19 +244,26 @@ func (s *search) score(cfg Config) scored {
 
 // scoresFrom reduces a candidate's grid results to its objective values.
 func (s *search) scoresFrom(cfg Config, out []pdn.Result) (Scores, bool) {
-	np := len(s.suite.Workloads)
-	// Performance: per workload, the input power the candidate saves
+	np := len(s.curves)
+	// Performance: per perf point, the input power the candidate saves
 	// against the IVR baseline converts to domain-level budget at the
-	// candidate's own ETEE, the power-frequency curve inverts it to a
-	// clock ratio, and scalability maps that to performance (§3.3).
+	// candidate's own ETEE, and the power-frequency curve inverts it to a
+	// clock ratio. Per workload, in suite order, scalability maps its
+	// point's ratio to performance (§3.3).
+	var buf [32]float64 // the suite has 20 points: no allocation
+	ratios := buf[:]
+	if np > len(buf) {
+		ratios = make([]float64, np)
+	}
+	for p := 0; p < np; p++ {
+		saved := s.basePIn[p] - out[p].PIn
+		ratios[p] = s.curves[p].Ratio(saved * out[p].ETEE)
+	}
 	var perfSum float64
 	for i, w := range s.suite.Workloads {
-		saved := s.basePIn[i] - out[i].PIn
-		delta := saved * out[i].ETEE
-		ratio := s.curves[i].Ratio(delta)
-		perfSum += 1 + w.Scalability*(ratio-1)
+		perfSum += 1 + w.Scalability*(ratios[s.point[i]]-1)
 	}
-	perfScore := perfSum / float64(np)
+	perfScore := perfSum / float64(len(s.suite.Workloads))
 	// Battery: mean over the §7.1 workloads of the residency-weighted
 	// battery drain, states visited in canonical order.
 	var batSum float64

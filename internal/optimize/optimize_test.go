@@ -634,8 +634,9 @@ func BenchmarkOptimizeScore(b *testing.B) {
 }
 
 // TestSearchScoresAtBasePSU pins that a search scores at Base.PSU: a 12 V
-// engine's IVR baseline input power is the IVR model's at 12 V, point for
-// point, and differs from the default 7.2 V engine's.
+// engine's IVR baseline input power, read through each workload's perf
+// point, is the IVR model's at 12 V, and differs from the default 7.2 V
+// engine's.
 func TestSearchScoresAtBasePSU(t *testing.T) {
 	p12 := pdn.DefaultParams()
 	p12.PSU = 12
@@ -666,11 +667,12 @@ func TestSearchScoresAtBasePSU(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if s12.basePIn[i] != float64(want.PIn) {
-			t.Errorf("%s: 12 V baseline PIn %v, IVR model at 12 V %v", w.Name, s12.basePIn[i], want.PIn)
+		got := s12.basePIn[s12.point[i]]
+		if got != float64(want.PIn) {
+			t.Errorf("%s: 12 V baseline PIn %v, IVR model at 12 V %v", w.Name, got, want.PIn)
 		}
-		if s12.basePIn[i] == s72.basePIn[i] {
-			t.Errorf("%s: 12 V and 7.2 V baselines agree (%v)", w.Name, s12.basePIn[i])
+		if got == s72.basePIn[s72.point[i]] {
+			t.Errorf("%s: 12 V and 7.2 V baselines agree (%v)", w.Name, got)
 		}
 	}
 }
