@@ -1,6 +1,9 @@
 package flexwatts
 
-import "context"
+import (
+	"context"
+	"slices"
+)
 
 // BatteryWorkload is a battery-life scenario described by its package
 // power-state residencies (§5 Observation 3, §7.1): during each frame the
@@ -31,13 +34,22 @@ func BatteryLifeWorkloads() []BatteryWorkload {
 // BatteryLifePower computes the average platform power the PDN named by k
 // draws from the battery while running a battery-life workload, following
 // the §5 formula P = Σ_s P_s·R_s/η_s over the workload's resident package
-// states — the Fig 8(c) metric. Lower is better.
+// states — the Fig 8(c) metric. Lower is better. The states are visited
+// in ascending CState order, so the result has the same bits on every
+// call, and of several states that fail to evaluate the lowest one's
+// error is returned.
 func (c *Client) BatteryLifePower(ctx context.Context, k Kind, w BatteryWorkload) (Watt, error) {
 	if err := ctx.Err(); err != nil {
 		return 0, context.Cause(ctx)
 	}
+	states := make([]CState, 0, len(w.Residency))
+	for cs := range w.Residency {
+		states = append(states, cs)
+	}
+	slices.Sort(states)
 	var total Watt
-	for cs, res := range w.Residency {
+	for _, cs := range states {
+		res := w.Residency[cs]
 		if res == 0 {
 			continue
 		}

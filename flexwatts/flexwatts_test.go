@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -474,6 +475,49 @@ func TestBatteryLifePower(t *testing.T) {
 	cancel()
 	if _, err := c.BatteryLifePower(cctx, flexwatts.IVR, bws[0]); !errors.Is(err, context.Canceled) {
 		t.Errorf("cancelled ctx: %v", err)
+	}
+}
+
+// TestBatteryLifePowerDeterministic pins the order of the §5 sum: for every
+// (workload, PDN) pair, repeated calls give one result, bit-equal to the
+// sum over the resident states in ascending CState order (the order
+// CStates lists them in).
+func TestBatteryLifePowerDeterministic(t *testing.T) {
+	c := newClient(t)
+	for _, w := range flexwatts.BatteryLifeWorkloads() {
+		for _, k := range flexwatts.AllKinds() {
+			var want flexwatts.Watt
+			for _, cs := range flexwatts.CStates() {
+				res := w.Residency[cs]
+				if res == 0 {
+					continue
+				}
+				r, err := c.Evaluate(ctx, flexwatts.Point{PDN: k, CState: cs})
+				if err != nil {
+					t.Fatal(err)
+				}
+				want += r.PNomTotal * flexwatts.Watt(res) / flexwatts.Watt(r.ETEE)
+			}
+			for i := 0; i < 50; i++ {
+				got, err := c.BatteryLifePower(ctx, k, w)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if math.Float64bits(float64(got)) != math.Float64bits(float64(want)) {
+					t.Fatalf("%s on %v, call %d: %v W, ascending-order sum %v W", w.Name, k, i, float64(got), float64(want))
+				}
+			}
+		}
+	}
+	// Every key still reaches the evaluation: C0 is not an idle state, so
+	// a workload resident in it fails on every call.
+	bad := flexwatts.BatteryWorkload{Name: "bad", Residency: map[flexwatts.CState]float64{
+		flexwatts.C0: 0.25, flexwatts.C2: 0.25, flexwatts.C8: 0.5,
+	}}
+	for i := 0; i < 20; i++ {
+		if _, err := c.BatteryLifePower(ctx, flexwatts.IVR, bad); !errors.Is(err, flexwatts.ErrInvalidPoint) {
+			t.Fatalf("C0 residency, call %d: error %v, want ErrInvalidPoint", i, err)
+		}
 	}
 }
 

@@ -85,6 +85,30 @@ func TestJSONRendererAllExperiments(t *testing.T) {
 	}
 }
 
+// TestFig8cJSONDeterministic renders Fig 8(c) as JSON 50 times. Its
+// battery powers are float sums over package states, visited in a fixed
+// order, so every rendering carries the same bits; the ASCII golden, at
+// 0.1% steps, cannot see a change in the last bits.
+func TestFig8cJSONDeterministic(t *testing.T) {
+	e := env(t)
+	var first []byte
+	for i := 0; i < 50; i++ {
+		d, err := Dataset("fig8c", e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := d.WriteJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if first == nil {
+			first = buf.Bytes()
+		} else if !bytes.Equal(buf.Bytes(), first) {
+			t.Fatalf("rendering %d differs from the first:\n%s\n%s", i, buf.Bytes(), first)
+		}
+	}
+}
+
 // TestCSVRendererAllExperiments renders every experiment as CSV and parses
 // each table block back: the record count and width must match the dataset.
 func TestCSVRendererAllExperiments(t *testing.T) {

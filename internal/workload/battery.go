@@ -1,6 +1,8 @@
 package workload
 
 import (
+	"slices"
+
 	"repro/internal/domain"
 	"repro/internal/units"
 )
@@ -58,10 +60,17 @@ func BatteryLifeWorkloads() []BatteryWorkload {
 // where P_s is the state's nominal power, R_s its residency and η_s the
 // PDN's ETEE in that state. The nominal powers come from the platform's
 // C-state scenario builder so they match the paper's 2.5 W / 1.2 W / 0.13 W
-// video-playback example.
+// video-playback example. The states are visited in ascending CState
+// order, so the float sum has the same bits on every call.
 func (w BatteryWorkload) AveragePower(plat *domain.Platform, etee func(domain.CState) float64) units.Watt {
+	states := make([]domain.CState, 0, len(w.Residency))
+	for c := range w.Residency {
+		states = append(states, c)
+	}
+	slices.Sort(states)
 	var avg units.Watt
-	for c, res := range w.Residency {
+	for _, c := range states {
+		res := w.Residency[c]
 		if res == 0 {
 			continue
 		}
