@@ -102,11 +102,15 @@ func (c *Client) RelativePerformance(ctx context.Context, tdp Watt, w Workload, 
 	if err := ctx.Err(); err != nil {
 		return nil, context.Cause(ctx)
 	}
+	iw, err := internalWorkload(w)
+	if err != nil {
+		return nil, err
+	}
 	cands, err := c.candidates(float64(tdp), kinds)
 	if err != nil {
 		return nil, err
 	}
-	res, err := perf.NewEvaluator(c.platform, c.baselines[pdn.IVR]).Compare(float64(tdp), internalWorkload(w), cands)
+	res, err := perf.NewEvaluator(c.platform, c.baselines[pdn.IVR]).Compare(float64(tdp), iw, cands)
 	if err != nil {
 		return nil, err
 	}
@@ -136,7 +140,9 @@ func (c *Client) SuiteRelativePerformance(ctx context.Context, tdp Watt, suite [
 	}
 	ws := make([]workload.Workload, len(suite))
 	for i, w := range suite {
-		ws[i] = internalWorkload(w)
+		if ws[i], err = internalWorkload(w); err != nil {
+			return nil, err
+		}
 	}
 	avg, err := perf.NewEvaluator(c.platform, c.baselines[pdn.IVR]).
 		SuiteAverage(float64(tdp), workload.Suite{Name: "suite", Workloads: ws}, cands)

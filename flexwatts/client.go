@@ -320,8 +320,9 @@ func (c *Client) EvaluateBatch(ctx context.Context, pts []Point) ([]Result, erro
 }
 
 // Phase is one interval of a workload trace: the platform stays at one
-// operating condition for Duration seconds. Idle phases (CState C2 and
-// deeper) ignore Workload and AR.
+// operating condition for Duration seconds. An active (C0) phase needs a
+// workload class; idle phases (CState C2 and deeper) ignore Workload and
+// AR and may leave them unset.
 type Phase struct {
 	Duration float64      `json:"duration_s"`
 	Workload WorkloadType `json:"workload,omitempty"`
@@ -392,7 +393,10 @@ func (c *Client) SimulateTrace(k Kind, tdp Watt, tr Trace, sensor *Sensor) (Trac
 	if sensor != nil {
 		cfg.Sensor = sensor.s
 	}
-	itr := internalTrace(tr)
+	itr, err := internalTrace(tr)
+	if err != nil {
+		return TraceReport{}, err
+	}
 	var rep sim.Report
 	if ik == pdn.FlexWatts {
 		ctrl := core.NewController(c.pred, core.DefaultSwitchFlow())

@@ -50,9 +50,9 @@ func kindFromInternal(k pdn.Kind) Kind {
 	}
 }
 
-// internalWorkloadType maps a public workload class to the internal enum;
-// WorkloadUnset has no internal counterpart and must be screened out by
-// Point.Validate before conversion.
+// internalWorkloadType maps a public workload class to the internal enum.
+// WorkloadUnset and unnamed values would map to MultiThread, so callers
+// screen them out first (Point.Validate, internalTrace, internalWorkload).
 func internalWorkloadType(t WorkloadType) workload.Type {
 	switch t {
 	case SingleThread:
@@ -83,7 +83,7 @@ func workloadTypeFromInternal(t workload.Type) WorkloadType {
 
 // internalCState maps a public package state to the internal enum. The two
 // enums share ordering, but the mapping is explicit so neither side can
-// drift silently.
+// drift silently. Unnamed states would map to C0: callers screen them out.
 func internalCState(c CState) domain.CState {
 	switch c {
 	case C0MIN:
@@ -185,14 +185,18 @@ func internalParams(p Params) pdn.Params { return pdn.Params(p) }
 // one.
 func paramsFromInternal(p pdn.Params) Params { return Params(p) }
 
-// internalWorkload converts a public benchmark description.
-func internalWorkload(w Workload) workload.Workload {
+// internalWorkload converts a public benchmark description. A benchmark
+// without a named workload class is rejected with ErrInvalidPoint.
+func internalWorkload(w Workload) (workload.Workload, error) {
+	if w.Type < SingleThread || w.Type > BatteryLife {
+		return workload.Workload{}, fmt.Errorf("%w: workload %q has no named workload type (%q)", ErrInvalidPoint, w.Name, w.Type)
+	}
 	return workload.Workload{
 		Name:        w.Name,
 		Type:        internalWorkloadType(w.Type),
 		AR:          w.AR,
 		Scalability: w.Scalability,
-	}
+	}, nil
 }
 
 // workloadFromInternal converts an internal benchmark description.
@@ -366,10 +370,19 @@ func optimizeEventFromInternal(ev optimize.Event) OptimizeEvent {
 	return out
 }
 
-// internalTrace converts a public phase trace.
-func internalTrace(tr Trace) workload.Trace {
+// internalTrace converts a public phase trace. A phase with an unnamed
+// package state or workload class, or an active (C0) phase without a
+// workload class, is rejected with ErrInvalidPoint; idle phases may leave
+// the workload unset.
+func internalTrace(tr Trace) (workload.Trace, error) {
 	out := workload.Trace{Name: tr.Name, Phases: make([]workload.Phase, len(tr.Phases))}
 	for i, ph := range tr.Phases {
+		if err := checkNamed(ph.CState, ph.Workload); err != nil {
+			return workload.Trace{}, fmt.Errorf("phase %d: %w", i, err)
+		}
+		if ph.CState == C0 && ph.Workload == WorkloadUnset {
+			return workload.Trace{}, fmt.Errorf("%w: phase %d is active (C0) without a workload type", ErrInvalidPoint, i)
+		}
 		out.Phases[i] = workload.Phase{
 			Duration: ph.Duration,
 			Type:     internalWorkloadType(ph.Workload),
@@ -377,7 +390,7 @@ func internalTrace(tr Trace) workload.Trace {
 			AR:       ph.AR,
 		}
 	}
-	return out
+	return out, nil
 }
 
 // traceFromInternal converts an internal phase trace.

@@ -155,14 +155,24 @@ func TestEvaluateBatchReportsInvalidPoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pts := []flexwatts.Point{
-		{PDN: flexwatts.IVR, TDP: 18, Workload: flexwatts.MultiThread, AR: 0.6},
+	good := flexwatts.Point{PDN: flexwatts.IVR, TDP: 18, Workload: flexwatts.MultiThread, AR: 0.6}
+	unset := flexwatts.Point{PDN: flexwatts.IVR, TDP: 18}
+	for i, bad := range []flexwatts.Point{
 		{PDN: flexwatts.IVR, TDP: 18, Workload: flexwatts.MultiThread, AR: 7},
-		{PDN: flexwatts.IVR, TDP: 18},
-	}
-	_, err = c.EvaluateBatch(ctx, pts)
-	if !errors.Is(err, flexwatts.ErrInvalidPoint) {
-		t.Fatalf("err = %v, want ErrInvalidPoint", err)
+		unset,
+		{PDN: flexwatts.IVR, CState: flexwatts.CState(42)},
+		{PDN: flexwatts.IVR, TDP: 18, Workload: flexwatts.WorkloadType(42), AR: 0.5},
+	} {
+		// bad sits at index i+1; the error names it, not the later one.
+		pts := []flexwatts.Point{good, good, good, good, good, unset}
+		pts[i+1] = bad
+		_, err := c.EvaluateBatch(ctx, pts)
+		if !errors.Is(err, flexwatts.ErrInvalidPoint) {
+			t.Fatalf("%+v: err = %v, want ErrInvalidPoint", bad, err)
+		}
+		if want := fmt.Sprintf("point %d: ", i+1); !strings.HasPrefix(err.Error(), want) {
+			t.Errorf("%+v: err %q, want it to name %q", bad, err, want)
+		}
 	}
 }
 
@@ -197,6 +207,11 @@ func TestInvalidPoints(t *testing.T) {
 		"bad ar":             {TDP: 18, Workload: flexwatts.MultiThread, AR: 1.5},
 		"bad tdp":            {TDP: 900, Workload: flexwatts.MultiThread, AR: 0.5},
 		"idle with workload": {CState: flexwatts.C6, Workload: flexwatts.MultiThread, AR: 0.6},
+		// Unnamed enum values must not score as C0 or Multi-Thread.
+		"unnamed cstate":    {PDN: flexwatts.IVR, CState: flexwatts.CState(42)},
+		"negative cstate":   {PDN: flexwatts.IVR, CState: -1},
+		"unnamed workload":  {PDN: flexwatts.IVR, TDP: 18, Workload: flexwatts.WorkloadType(42), AR: 0.5},
+		"negative workload": {PDN: flexwatts.IVR, TDP: 18, Workload: -1, AR: 0.5},
 	}
 	for name, pt := range cases {
 		if _, err := c.Evaluate(ctx, pt); !errors.Is(err, flexwatts.ErrInvalidPoint) {
@@ -509,14 +524,17 @@ func TestBatteryLifePowerDeterministic(t *testing.T) {
 			}
 		}
 	}
-	// Every key still reaches the evaluation: C0 is not an idle state, so
-	// a workload resident in it fails on every call.
-	bad := flexwatts.BatteryWorkload{Name: "bad", Residency: map[flexwatts.CState]float64{
-		flexwatts.C0: 0.25, flexwatts.C2: 0.25, flexwatts.C8: 0.5,
-	}}
-	for i := 0; i < 20; i++ {
-		if _, err := c.BatteryLifePower(ctx, flexwatts.IVR, bad); !errors.Is(err, flexwatts.ErrInvalidPoint) {
-			t.Fatalf("C0 residency, call %d: error %v, want ErrInvalidPoint", i, err)
+	// Every key still reaches the evaluation: C0 is not an idle state and
+	// CState(42) is no state at all, so a workload resident in either
+	// fails on every call.
+	for _, cs := range []flexwatts.CState{flexwatts.C0, flexwatts.CState(42)} {
+		bad := flexwatts.BatteryWorkload{Name: "bad", Residency: map[flexwatts.CState]float64{
+			cs: 0.25, flexwatts.C2: 0.25, flexwatts.C8: 0.5,
+		}}
+		for i := 0; i < 20; i++ {
+			if _, err := c.BatteryLifePower(ctx, flexwatts.IVR, bad); !errors.Is(err, flexwatts.ErrInvalidPoint) {
+				t.Fatalf("%v residency, call %d: error %v, want ErrInvalidPoint", cs, i, err)
+			}
 		}
 	}
 }
@@ -585,5 +603,54 @@ func TestTraceHelpers(t *testing.T) {
 	}
 	if idle == 0 || idle == len(a.Phases) {
 		t.Errorf("%d idle phases of %d", idle, len(a.Phases))
+	}
+}
+
+// TestSimulateTraceRejectsInvalidPhases: a phase whose package state or
+// workload class is not a named value, or an active phase without a
+// workload class, must fail with ErrInvalidPoint rather than run as a
+// Multi-Thread phase at C0.
+func TestSimulateTraceRejectsInvalidPhases(t *testing.T) {
+	c := newClient(t)
+	for name, ph := range map[string]flexwatts.Phase{
+		"unnamed cstate":      {Duration: 0.01, CState: flexwatts.CState(42), AR: 0.5},
+		"unnamed workload":    {Duration: 0.01, Workload: flexwatts.WorkloadType(42), AR: 0.5},
+		"active, no workload": {Duration: 0.01, AR: 0.5},
+	} {
+		tr := flexwatts.Trace{Name: name, Phases: []flexwatts.Phase{
+			{Duration: 0.01, Workload: flexwatts.MultiThread, AR: 0.5}, ph,
+		}}
+		for _, k := range []flexwatts.Kind{flexwatts.FlexWatts, flexwatts.IVR} {
+			if rep, err := c.SimulateTrace(k, 18, tr, nil); !errors.Is(err, flexwatts.ErrInvalidPoint) {
+				t.Errorf("%s on %v: report %+v, err %v, want ErrInvalidPoint", name, k, rep, err)
+			}
+		}
+	}
+	// Idle phases may leave the workload unset or carry one.
+	tr := flexwatts.Trace{Name: "idle", Phases: []flexwatts.Phase{
+		{Duration: 0.01, CState: flexwatts.C8},
+		{Duration: 0.01, CState: flexwatts.C0MIN, AR: 0.18},
+		{Duration: 0.01, CState: flexwatts.C2, Workload: flexwatts.BatteryLife, AR: 0.18},
+	}}
+	if _, err := c.SimulateTrace(flexwatts.FlexWatts, 18, tr, nil); err != nil {
+		t.Errorf("idle trace: %v", err)
+	}
+}
+
+// TestRelativePerformanceRejectsUnnamedWorkloadType: a benchmark must name
+// its workload class; an unset or unnamed one is not scored as
+// Multi-Thread.
+func TestRelativePerformanceRejectsUnnamedWorkloadType(t *testing.T) {
+	c := newClient(t)
+	kinds := []flexwatts.Kind{flexwatts.LDO, flexwatts.FlexWatts}
+	for _, typ := range []flexwatts.WorkloadType{flexwatts.WorkloadUnset, flexwatts.WorkloadType(42)} {
+		w := flexwatts.Workload{Name: "untyped", Type: typ, AR: 0.6, Scalability: 0.8}
+		if res, err := c.RelativePerformance(ctx, 18, w, kinds); !errors.Is(err, flexwatts.ErrInvalidPoint) {
+			t.Errorf("type %v: result %+v, err %v, want ErrInvalidPoint", typ, res, err)
+		}
+		suite := append(flexwatts.SPECCPU2006()[:2], w)
+		if res, err := c.SuiteRelativePerformance(ctx, 18, suite, kinds); !errors.Is(err, flexwatts.ErrInvalidPoint) {
+			t.Errorf("type %v in a suite: result %v, err %v, want ErrInvalidPoint", typ, res, err)
+		}
 	}
 }

@@ -346,12 +346,16 @@ type Point struct {
 	CState   CState       `json:"cstate,omitempty"`
 }
 
-// Validate checks the point's invariants without evaluating it: an idle
-// point must not carry active-point parameters (they would be silently
+// Validate checks the point's invariants without evaluating it: the
+// package state and workload class must be named values, an idle point
+// must not carry active-point parameters (they would be silently
 // ignored), and an active point needs a workload class and an AR in (0,1].
 // Range checks on TDP happen at evaluation time against the modeled TDP
 // axis. Errors wrap ErrInvalidPoint.
 func (p Point) Validate() error {
+	if err := checkNamed(p.CState, p.Workload); err != nil {
+		return err
+	}
 	if p.CState != C0 {
 		if p.Workload != WorkloadUnset || p.AR != 0 {
 			return fmt.Errorf("%w: cstate %s is an idle-state evaluation: workload and ar must be unset", ErrInvalidPoint, p.CState)
@@ -363,6 +367,20 @@ func (p Point) Validate() error {
 	}
 	if !(p.AR > 0 && p.AR <= 1) {
 		return fmt.Errorf("%w: AR %g outside (0,1]", ErrInvalidPoint, p.AR)
+	}
+	return nil
+}
+
+// checkNamed rejects a package state other than the seven of CStates and a
+// workload class other than WorkloadUnset and the four named classes: the
+// model has no scenario for them, so they must not reach the conversion
+// shims, which would map them onto some other state or class.
+func checkNamed(c CState, t WorkloadType) error {
+	if c < C0 || c > C8 {
+		return fmt.Errorf("%w: unknown package state %v", ErrInvalidPoint, c)
+	}
+	if t < WorkloadUnset || t > BatteryLife {
+		return fmt.Errorf("%w: unknown workload type %v", ErrInvalidPoint, t)
 	}
 	return nil
 }
