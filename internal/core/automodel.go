@@ -31,9 +31,7 @@ func (a *AutoModel) Kind() pdn.Kind { return pdn.FlexWatts }
 // Evaluate implements pdn.Model: predict the mode, then evaluate it.
 func (a *AutoModel) Evaluate(s pdn.Scenario) (pdn.Result, error) {
 	in := InputsFromScenario(s, a.TDP)
-	mode := a.P.Predict(in)
-	a.M.SetMode(mode)
-	return a.M.EvaluateMode(s, mode)
+	return a.M.EvaluateMode(s, a.P.Predict(in))
 }
 
 // InputsFromScenario estimates Algorithm 1's inputs from a scenario the way

@@ -202,13 +202,20 @@ func TestAutoModelInference(t *testing.T) {
 	if in.Type != workload.SingleThread {
 		t.Errorf("ST scenario classified as %v", in.Type)
 	}
-	// AutoModel evaluation at 4W lands in LDO-Mode.
+	// AutoModel evaluation at 4W lands in LDO-Mode: its result equals the
+	// LDO-Mode evaluation (every field is finite, so == compares the bits
+	// up to the sign of zero).
 	s, _ = workload.TDPScenario(plat, 4, workload.MultiThread, 0.6)
-	if _, err := am.Evaluate(s); err != nil {
+	got, err := am.Evaluate(s)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if am.M.Mode() != LDOMode {
-		t.Errorf("4W auto evaluation left mode %v, want LDO-Mode", am.M.Mode())
+	want, err := m.EvaluateMode(s, LDOMode)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Errorf("4W auto evaluation %+v, want the LDO-Mode result %+v", got, want)
 	}
 }
 

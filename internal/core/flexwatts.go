@@ -23,13 +23,13 @@
 // topology and LDO-Mode the LDO PDN, each on the penalized V_IN load-line.
 // Their power flow, per point and batch, lives in internal/pdn
 // (pdn.NewFlexWattsModes); this package holds the mode policy only: Model
-// dispatches to the selected mode, and the predictor, the switching flow,
-// AutoModel and the voltage-noise model decide and carry out the switch.
+// evaluates the mode each call names, and the predictor, the switching
+// flow, AutoModel and the voltage-noise model decide and carry out the
+// switch.
 package core
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"repro/internal/pdn"
 )
@@ -62,18 +62,14 @@ func (m Mode) String() string {
 	}
 }
 
-// Model is the FlexWatts PDN. It implements pdn.Model; Evaluate uses the
-// currently configured mode, while EvaluateMode evaluates a specific one
-// (used by the predictor's offline table generation and by oracle
-// baselines). The zero mode is IVRMode. Each mode's power flow is a
-// pdn.SplitRailModel from pdn.NewFlexWattsModes; Model only picks one.
+// Model is the FlexWatts PDN: both hybrid modes' power flow, each a
+// pdn.SplitRailModel from pdn.NewFlexWattsModes. It holds no current mode:
+// every evaluation names one (EvaluateMode, EvaluateGridMode), as chosen
+// by the predictor, the mode controller or AutoModel. Model is immutable
+// once built and safe for concurrent use.
 type Model struct {
 	ivrMode *pdn.SplitRailModel
 	ldoMode *pdn.SplitRailModel
-	// mode is atomic because sweep workers share one Model: AutoModel
-	// records the mode it evaluates, and concurrent evaluations must not
-	// race on the field (each evaluation passes its mode explicitly).
-	mode atomic.Int32
 }
 
 // NewModel constructs a FlexWatts PDN with the given PDNspot parameters.
@@ -82,16 +78,6 @@ func NewModel(p pdn.Params) *Model {
 	m.ivrMode, m.ldoMode = pdn.NewFlexWattsModes(p)
 	return m
 }
-
-// Kind implements pdn.Model.
-func (m *Model) Kind() pdn.Kind { return pdn.FlexWatts }
-
-// Mode returns the currently configured hybrid mode.
-func (m *Model) Mode() Mode { return Mode(m.mode.Load()) }
-
-// SetMode configures the hybrid mode. The electrical transition itself is
-// modeled by SwitchFlow; SetMode only changes which mode Evaluate uses.
-func (m *Model) SetMode(mode Mode) { m.mode.Store(int32(mode)) }
 
 // modeModel returns the power flow of the given mode, or nil for an
 // unknown mode.
@@ -105,11 +91,6 @@ func (m *Model) modeModel(mode Mode) *pdn.SplitRailModel {
 	return nil
 }
 
-// Evaluate implements pdn.Model using the current mode.
-func (m *Model) Evaluate(s pdn.Scenario) (pdn.Result, error) {
-	return m.EvaluateMode(s, m.Mode())
-}
-
 // EvaluateMode computes the end-to-end power flow with the hybrid VRs in
 // the given mode. A scenario error takes precedence over an unknown mode.
 func (m *Model) EvaluateMode(s pdn.Scenario, mode Mode) (pdn.Result, error) {
@@ -121,12 +102,6 @@ func (m *Model) EvaluateMode(s pdn.Scenario, mode Mode) (pdn.Result, error) {
 		return pdn.Result{}, fmt.Errorf("core: unknown mode %v", mode)
 	}
 	return mm.Evaluate(s)
-}
-
-// EvaluateGrid evaluates every grid point into out[:g.Len()] using the
-// currently configured mode, bitwise identical to per-point Evaluate.
-func (m *Model) EvaluateGrid(g *pdn.Grid, out []pdn.Result) error {
-	return m.EvaluateGridMode(g, out, m.Mode())
 }
 
 // EvaluateGridMode evaluates every grid point in the given mode, bitwise

@@ -72,8 +72,7 @@ type tone struct {
 	noise float64 // AR(1)-filtered noise state
 }
 
-// gridModel is a PDN model with a batch kernel, such as every pdn model
-// and core.Model.
+// gridModel is a PDN model with a batch kernel, such as every pdn model.
 type gridModel interface {
 	EvaluateGrid(g *pdn.Grid, out []pdn.Result) error
 }
