@@ -2,10 +2,15 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
+	"time"
 
 	"repro/flexwatts/api"
 	"repro/internal/experiments"
@@ -81,6 +86,87 @@ func FuzzEvaluateRequest(f *testing.F) {
 		}
 		if w.Code < 400 || w.Code >= 500 {
 			t.Fatalf("served status %d (%s), want 200 or 4xx", w.Code, w.Body.String())
+		}
+	})
+}
+
+// FuzzOptimizeRequest serves arbitrary bodies on /v1/optimize, the other
+// untrusted request the daemon parses, each under a 100 ms request
+// deadline so a large search is cancelled rather than run out. Every
+// answer must be one of three: a 4xx error envelope; a 200 whose frontier
+// is sorted by key, with finite scores and no more candidates evaluated
+// than the space holds; or an empty body, and only once the deadline has
+// cancelled the search. A 5xx or a panic fails the target.
+func FuzzOptimizeRequest(f *testing.F) {
+	envOnce.Do(func() { envVal, envErr = experiments.NewEnv() })
+	if envErr != nil {
+		f.Fatal(envErr)
+	}
+	h := New(envVal, Options{}).Handler()
+
+	const small = `"tdp":18,"loadline_scales":[1],"guardband_scales":[1]`
+	f.Add([]byte(`{` + small + `,"seed":1}`))
+	f.Add([]byte(`{"tdp":15,"pdns":["IVR","MBVR"],"loadline_scales":[0.9,1],"guardband_scales":[1,1.25]}`))
+	f.Add([]byte(`{"tdp":1e308}`))
+	for _, field := range []string{"seed", "budget", "chains", "max_cost", "max_area", "max_battery_power", "min_performance"} {
+		f.Add([]byte(fmt.Sprintf(`{%s,%q:1e308}`, small, field)))
+	}
+	for _, scale := range []string{"1e308", "5e-324", "0.05", "10.5", "-1"} {
+		for _, axis := range []string{"loadline_scales", "guardband_scales", "vr_scales"} {
+			f.Add([]byte(fmt.Sprintf(`{"tdp":18,%q:[%s]}`, axis, scale)))
+		}
+	}
+	// A 6,859-candidate anneal with a huge budget and chain count: the
+	// deadline cancels it.
+	var scales []string
+	for i := 0; i < 19; i++ {
+		scales = append(scales, fmt.Sprint(0.5+0.05*float64(i)))
+	}
+	nineteen := "[" + strings.Join(scales, ",") + "]"
+	f.Add([]byte(fmt.Sprintf(`{"tdp":18,"pdns":["FlexWatts"],"loadline_scales":%[1]s,"guardband_scales":%[1]s,"vr_scales":%[1]s,"strategy":"anneal","budget":1000000000,"chains":1000000000,"seed":7}`, nineteen)))
+	f.Add([]byte(`{"tdp":18,"pdns":["IVR","IVR"]}`))
+	f.Add([]byte(`{"tdp":18,"objectives":["speed"]}`))
+	f.Add([]byte(`{"tdp":18,"strategy":"greedy"}`))
+	f.Add([]byte(`{"tdp":18,"pdns":["IV`))
+	f.Add([]byte(`{"tdp":18,"bogus":1}`))
+	f.Add([]byte(``))
+
+	f.Fuzz(func(t *testing.T, body []byte) {
+		ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+		defer cancel()
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, api.PathOptimize, bytes.NewReader(body)).WithContext(ctx))
+		switch {
+		case w.Code == http.StatusOK && w.Body.Len() == 0:
+			if ctx.Err() == nil {
+				t.Fatal("empty 200 body, but the deadline has not passed")
+			}
+		case w.Code == http.StatusOK:
+			var resp api.OptimizeResponse
+			if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
+				t.Fatalf("200 body is not an optimize response: %v\n%s", err, w.Body.String())
+			}
+			if resp.Evaluated > resp.SpaceSize {
+				t.Fatalf("evaluated %d of a %d-candidate space", resp.Evaluated, resp.SpaceSize)
+			}
+			for i, p := range resp.Frontier {
+				if i > 0 && p.Key <= resp.Frontier[i-1].Key {
+					t.Fatalf("frontier key %d follows %d", p.Key, resp.Frontier[i-1].Key)
+				}
+				for _, v := range []float64{p.Scores.Cost, p.Scores.Area, p.Scores.BatteryPower, p.Scores.Performance} {
+					if math.IsNaN(v) || math.IsInf(v, 0) {
+						t.Fatalf("frontier key %d has non-finite scores %+v", p.Key, p.Scores)
+					}
+				}
+			}
+		default:
+			var e api.Error
+			if err := json.Unmarshal(w.Body.Bytes(), &e); err != nil || e.Code == "" {
+				t.Fatalf("status %d without the error envelope: %s", w.Code, w.Body.String())
+			}
+			if w.Code < 400 || w.Code >= 500 {
+				t.Fatalf("served status %d (%s), want 200 or 4xx", w.Code, w.Body.String())
+			}
 		}
 	})
 }
