@@ -18,16 +18,13 @@ BENCH_JSON ?= BENCH_10.json
 # default because shared CI runners are noisy (±40% run-to-run on this
 # suite); tighten locally with BENCH_TOLERANCE=0.15 on a quiet machine.
 BENCH_TOLERANCE ?= 0.60
-# The slo target records under its own label so daemon SLO numbers and
-# root benchmarks coexist in one BENCH_<pr>.json.
-SLO_LABEL ?= slo
 
 # Pinned analysis-tool versions, installed on demand by `go run` (CI) —
 # bump deliberately, not implicitly.
 STATICCHECK_VERSION ?= 2025.1.1
 GOVULNCHECK_VERSION ?= v1.1.4
 
-.PHONY: all build test race bench bench-json bench-check perfbench-check perfbench-ab lint fmt ci smoke slo fuzz-smoke staticcheck govulncheck
+.PHONY: all build test race bench bench-json bench-check perfbench-check perfbench-ab lint fmt ci smoke fuzz-smoke staticcheck govulncheck
 
 all: build test
 
@@ -70,9 +67,20 @@ bench-check:
 
 # perfbench is its own module (perfbench/go.mod), so the root build and
 # tests never compile it, yet it imports the internal packages. Vet and test
-# it here so a change to those packages cannot break the benchmark unseen.
+# it here so a change to those packages cannot break the benchmark unseen
+# (its tests serve flex-small for a second). Then serve sweep-cold,
+# scatter-warm and optimize for two seconds each: every run must end in
+# {"correct":true,"attempted":N,"failed":0,...} with N >= 1, so both
+# evaluate routes and /v1/optimize sustain work at low load with no
+# non-200 answer, transport error, late request or answer that differs
+# from the library's bits.
 perfbench-check:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+	for w in sweep-cold scatter-warm optimize; do \
+		bash perfbench/run.sh --workload $$w --seed 1 --seconds 2 --trace 0 | tail -n 1 \
+			| grep -E '^\{"correct":true,"attempted":[1-9][0-9]*,"failed":0,' \
+			|| { echo "perfbench-check: $$w did not run correct with 0 failed" >&2; exit 1; }; \
+	done
 
 # Paired end-to-end runs against another revision: BASE's perfbench, built
 # from a local git worktree under .bench_build/, and this checkout's run
@@ -91,18 +99,12 @@ perfbench-ab:
 	bash scripts/perfbench_ab.sh '$(BASE)' '$(WORKLOAD)' '$(PAIRS)' '$(SECONDS)' '$(SEED)'
 
 # Boot the flexwattsd daemon (built with -race), hit every endpoint class,
-# and diff the served ASCII bodies against the committed goldens.
+# diff the served ASCII bodies against the committed goldens, check the
+# evaluate stream's NDJSON lines and a 5-candidate /v1/optimize frontier,
+# and check that /metrics booked points, streamed points and candidates
+# and counted no 5xx answer.
 smoke:
 	bash scripts/smoke_flexwattsd.sh
-
-# Measure what the daemon sustains: boot it (a non-race build, so the
-# numbers are the shipped binary's; race coverage lives in `race` and
-# `smoke`), drive both evaluate endpoints with cmd/loadgen at a fixed
-# rate, assert the SLO floor (non-zero throughput, zero 5xx / zero shed
-# at low load), and record evals/s + p50/p95/p99 into $(BENCH_JSON).
-# Tune with SLO_RPS, SLO_BATCH, SLO_DURATION.
-slo:
-	BENCH_JSON=$(BENCH_JSON) BENCH_LABEL=$(SLO_LABEL) bash scripts/slo_flexwattsd.sh
 
 # Short-budget fuzz runs over the untrusted input surfaces, the evaluate
 # request (decoded, then served) and the public Point → Result path, plus
@@ -111,8 +113,11 @@ slo:
 # scalar oracle (same bits and errors for any scenario), the evaluate
 # wire codec against encoding/json (the scanner against json.Decoder on
 # any body it accepts, float rendering against json.Marshal for any bits),
-# and domain.LeakPow against math.Pow(x, 2.8) (same bits for any x).
-# -fuzz accepts one target at a time, so seven sequential invocations.
+# domain.LeakPow against math.Pow(x, 2.8) (same bits for any x), and the
+# optimize request served under a 100 ms deadline (FuzzOptimizeRequest:
+# a 4xx envelope, a well-formed 200 frontier or a cancelled search, never
+# a 5xx or a panic).
+# -fuzz accepts one target at a time, so eight sequential invocations.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzEvaluateRequest$$' -fuzztime $(FUZZTIME) ./internal/server
@@ -122,6 +127,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeEvalPoints$$' -fuzztime $(FUZZTIME) ./internal/server
 	$(GO) test -run '^$$' -fuzz '^FuzzAppendFloat$$' -fuzztime $(FUZZTIME) ./internal/server
 	$(GO) test -run '^$$' -fuzz '^FuzzLeakPow$$' -fuzztime $(FUZZTIME) ./internal/domain
+	$(GO) test -run '^$$' -fuzz '^FuzzOptimizeRequest$$' -fuzztime $(FUZZTIME) ./internal/server
 
 lint:
 	$(GO) vet ./...

@@ -308,11 +308,11 @@ func BenchmarkReferenceSim(b *testing.B) {
 	}
 }
 
-// BenchmarkOptimize measures design-space search throughput: one
-// exhaustive 45-candidate search (every PDN topology at the default
-// parameter scales) per iteration, the same shape `loadgen -optimize`
-// drives at the served surface. candidates/s is the headline gated by
-// bench-check.
+// BenchmarkOptimize measures design-space search throughput in the
+// library: one exhaustive 45-candidate search (every PDN topology at the
+// default parameter scales) per iteration. Served searches are timed by
+// perfbench's optimize workload and BenchmarkServeOptimize.
+// candidates/s is the headline gated by bench-check.
 func BenchmarkOptimize(b *testing.B) {
 	e := benchEnv(b)
 	eng := optimize.Engine{Platform: e.Platform, Base: e.Params, Cache: e.Cache, Workers: e.Workers}
