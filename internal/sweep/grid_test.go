@@ -335,6 +335,67 @@ func TestGridMapCtxScalarRaceExactlyOnce(t *testing.T) {
 	}
 }
 
+// TestCacheEvaluateGridRepeatedKeys pins grids that repeat keys inside one
+// call: 16 distinct scenarios, each four times and never next to itself,
+// evaluated whole and on four workers in chunks of eight. Each key is
+// computed exactly once, the other 48 points are hits, and every result
+// equals the scalar model's.
+func TestCacheEvaluateGridRepeatedKeys(t *testing.T) {
+	const distinct, repeats = 16, 4
+	inner, base := gridTestModel(t, distinct)
+	g := pdn.NewGrid(distinct * repeats)
+	for i := 0; i < distinct*repeats; i++ {
+		// Stride 5 is coprime to 16: every scenario appears four times and
+		// consecutive points always differ.
+		g.Append(base.At(i * 5 % distinct))
+	}
+	want := make([]pdn.Result, g.Len())
+	for i := range want {
+		res, err := inner.Evaluate(g.At(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = res
+	}
+	runs := []struct {
+		name string
+		run  func(c *Cache, m pdn.Model, out []pdn.Result) error
+	}{
+		{"EvaluateGrid", func(c *Cache, m pdn.Model, out []pdn.Result) error {
+			return c.EvaluateGrid(m, g, out)
+		}},
+		{"GridMapCtx", func(c *Cache, m pdn.Model, out []pdn.Result) error {
+			return GridMapCtx(context.Background(), 4, c, m, g, out, 8)
+		}},
+	}
+	for _, r := range runs {
+		t.Run(r.name, func(t *testing.T) {
+			m := &keyCountingModel{inner: inner, calls: make(map[pdn.Scenario]int)}
+			c := NewCache()
+			out := make([]pdn.Result, g.Len())
+			if err := r.run(c, m, out); err != nil {
+				t.Fatal(err)
+			}
+			for i := range out {
+				if out[i] != want[i] {
+					t.Fatalf("point %d: result differs from the scalar model's", i)
+				}
+			}
+			if hits, misses := c.Stats(); hits != 48 || misses != distinct {
+				t.Errorf("stats = (%d hits, %d misses), want (48, %d)", hits, misses, distinct)
+			}
+			if len(m.calls) != distinct {
+				t.Errorf("model computed %d distinct keys, want %d", len(m.calls), distinct)
+			}
+			for s, cnt := range m.calls {
+				if cnt != 1 {
+					t.Errorf("key %+v computed %d times, want exactly 1", s, cnt)
+				}
+			}
+		})
+	}
+}
+
 // TestGridMapCtx pins the chunked parallel driver: results identical to
 // the serial path for chunk sizes that do and don't divide the grid, and
 // cancellation surfaces the context cause.
