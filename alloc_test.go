@@ -247,9 +247,6 @@ func TestGridArenaAllocFree(t *testing.T) {
 // (entry, interned key, shard map growth), not per-point evaluation
 // garbage.
 func TestCacheGridAllocs(t *testing.T) {
-	if raceDetectorEnabled {
-		t.Skip("race detector drops sync.Pool puts; the grid probe's pooled scratch may reallocate")
-	}
 	e := benchEnv(t)
 	g := gridBenchGrid(t)
 	out := make([]pdn.Result, g.Len())

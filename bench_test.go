@@ -243,14 +243,15 @@ func BenchmarkEvaluateGridLooped(b *testing.B) {
 	}
 }
 
-// BenchmarkEvaluateGridParallel measures the full parallel grid pipeline —
+// BenchmarkEvaluateGridParallel measures the cached parallel grid path —
 // GridMapCtx chunking the 4128-point grid over a worker pool, each chunk
-// running the shard-batched cache probe and the batch kernel — at 1, 2, 4
-// and GOMAXPROCS workers (deduplicated, so a 4-core machine runs three
+// resolving its points one by one through the cache — at 1, 2, 4 and
+// GOMAXPROCS workers (deduplicated, so a 4-core machine runs three
 // sub-benchmarks and an 8-core machine four). Each iteration starts from a
-// fresh cache: the measured work is the cold serving path a first-seen
-// request takes (probe, claim, kernel, store), which is where worker
-// scaling matters. The chunk size is the adaptive default (chunk=0).
+// fresh cache, so every point misses: per point a shard lookup, a claim,
+// one model evaluation and a store. No served route or figure sends such
+// a grid; this is the cache's worst case, where worker scaling shows.
+// The chunk size is the adaptive default (chunk=0).
 // Compare points/s across the workers=N sub-benchmarks for the parallel
 // speedup; single-core hosts necessarily report flat numbers.
 func BenchmarkEvaluateGridParallel(b *testing.B) {

@@ -277,8 +277,8 @@ func (r *gridPointRun) validate(g *Grid, i int, m uint16) error {
 	return nil
 }
 
-// Reset truncates the grid to zero points, keeping capacity — the
-// building block for reusing one scratch grid across cache-miss blocks.
+// Reset truncates the grid to zero points, keeping capacity, so a pooled
+// or scratch grid refills without allocating.
 func (g *Grid) Reset() {
 	for k := range g.pnom {
 		g.pnom[k] = g.pnom[k][:0]
@@ -289,47 +289,6 @@ func (g *Grid) Reset() {
 	g.cstate = g.cstate[:0]
 	g.psu = g.psu[:0]
 	g.n = 0
-}
-
-// extend grows *s to length n — reusing capacity when it suffices,
-// reallocating otherwise — and returns the slice for indexed writes.
-func extend[T any](s *[]T, n int) []T {
-	if cap(*s) >= n {
-		*s = (*s)[:n]
-	} else {
-		*s = make([]T, n)
-	}
-	return *s
-}
-
-// Gather resets g to the points of src selected by indices, in order —
-// the column-wise counterpart of an At/Append loop, which materializes a
-// ~200-byte Scenario per point just to scatter it back into columns.
-// Like Append, Gather copies into g's own backing arrays and never
-// aliases src's storage: mutating the gathered grid cannot corrupt src.
-// src must be a different grid than g.
-func (g *Grid) Gather(src *Grid, indices []int) {
-	n := len(indices)
-	for k := range g.pnom {
-		pn := extend(&g.pnom[k], n)
-		vn := extend(&g.vnom[k], n)
-		fl := extend(&g.fl[k], n)
-		ar := extend(&g.ar[k], n)
-		spn, svn, sfl, sar := src.pnom[k], src.vnom[k], src.fl[k], src.ar[k]
-		for j, i := range indices {
-			pn[j] = spn[i]
-			vn[j] = svn[i]
-			fl[j] = sfl[i]
-			ar[j] = sar[i]
-		}
-	}
-	cs := extend(&g.cstate, n)
-	ps := extend(&g.psu, n)
-	for j, i := range indices {
-		cs[j] = src.cstate[i]
-		ps[j] = src.psu[i]
-	}
-	g.n = n
 }
 
 // View returns a sub-grid over points [lo, hi) sharing the receiver's

@@ -154,50 +154,6 @@ func TestGridViewAliasing(t *testing.T) {
 	}
 }
 
-// TestGridGatherCopies pins Gather's copy contract — the opposite of
-// View's: the gathered sub-grid owns its storage, so mutating it must
-// never corrupt the source (the cache relies on this when it evaluates a
-// miss sub-grid while other workers read the request grid), and mutating
-// the source must not retroactively change the gathered points.
-func TestGridGatherCopies(t *testing.T) {
-	scenarios := gridTestScenarios()
-	src := GridOf(scenarios)
-	indices := []int{7, 0, 3, 3, len(scenarios) - 1}
-	var g Grid
-	g.Gather(src, indices)
-	if g.Len() != len(indices) {
-		t.Fatalf("gathered length %d, want %d", g.Len(), len(indices))
-	}
-	for j, i := range indices {
-		if g.At(j) != src.At(i) {
-			t.Fatalf("gathered point %d differs from source point %d", j, i)
-		}
-	}
-	// Mutate every gathered point; the source must keep its bits.
-	mut := scenarios[1]
-	mut.Loads[domain.Core0].PNom = 99
-	mut.PSU = 7.2
-	for j := 0; j < g.Len(); j++ {
-		g.Set(j, mut)
-	}
-	for i, want := range scenarios {
-		if src.At(i) != want {
-			t.Fatalf("source point %d corrupted by gathered-grid mutation", i)
-		}
-	}
-	// And the reverse: source mutation must not reach the gathered copy.
-	g.Gather(src, indices)
-	src.Set(7, mut)
-	if g.At(0) != scenarios[7] {
-		t.Error("source mutation reached the gathered copy")
-	}
-	// Re-gather into the same grid reuses its columns across lengths.
-	g.Gather(src, indices[:2])
-	if g.Len() != 2 || g.At(1) != src.At(0) {
-		t.Errorf("re-gather: len %d, point 1 mismatch", g.Len())
-	}
-}
-
 // gridModel is a PDN model with a batch kernel.
 type gridModel interface {
 	Model

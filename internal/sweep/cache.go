@@ -51,14 +51,13 @@ type Cache struct {
 }
 
 // cacheEntry is one published evaluation slot, resolved by a
-// creator-computes protocol: the goroutine that inserts the entry under
-// the shard lock is the only one that ever invokes the model for its key
-// (scalar or as one point of a grid kernel call); it stores res/err and
-// closes done, and every other goroutine — scalar hit or grid hit alike —
-// blocks on done and reads the published result. The close gives the
-// happens-before edge, and the exactly-one-invocation guarantee holds
-// even when the batch path claims a block of keys and resolves them with
-// one kernel call while scalar evaluations race the same keys.
+// creator-computes protocol: the Evaluate call that inserts the entry
+// under the shard lock is the only one that ever invokes the model for
+// its key; it stores res/err and closes done, and every other caller —
+// a scalar Evaluate or one point of a cached EvaluateGrid alike — blocks
+// on done and reads the published result. The close gives the
+// happens-before edge. A caller claims at most one entry at a time and
+// resolves it before it waits on another, so waits cannot deadlock.
 type cacheEntry struct {
 	done chan struct{}
 	res  pdn.Result
@@ -76,15 +75,10 @@ func NewCache() *Cache {
 	return c
 }
 
-// shardIndex hashes key to its shard's index. cacheKey contains no
-// pointers, so maphash.Comparable hashes it without allocating.
-func (c *Cache) shardIndex(key cacheKey) int {
-	return int(maphash.Comparable(c.seed, key) % cacheShards)
-}
-
-// shardFor picks the shard holding key.
+// shardFor picks the shard holding key. cacheKey contains no pointers,
+// so maphash.Comparable hashes it without allocating.
 func (c *Cache) shardFor(key cacheKey) *cacheShard {
-	return &c.shards[c.shardIndex(key)]
+	return &c.shards[maphash.Comparable(c.seed, key)%cacheShards]
 }
 
 // Evaluate returns m.Evaluate(s) memoized by (m.Kind(), s). A nil cache
@@ -110,9 +104,8 @@ func (c *Cache) Evaluate(m pdn.Model, s pdn.Scenario) (pdn.Result, error) {
 	}
 	if ok {
 		c.hits.Add(1)
-		// Someone else claimed the key — a scalar evaluation or a grid
-		// block holding it in flight; wait for the published result
-		// instead of computing a duplicate.
+		// Another Evaluate call claimed the key; wait for its published
+		// result instead of computing a duplicate.
 		<-e.done
 		return e.res, e.err
 	}

@@ -270,12 +270,11 @@ func (m *keyCountingModel) EvaluateGrid(g *pdn.Grid, out []pdn.Result) error {
 
 // TestGridMapCtxScalarRaceExactlyOnce races parallel GridMapCtx sweeps
 // against scalar Cache.Evaluate calls over fully overlapping keys and
-// asserts the two guarantees the batched probe must preserve: every
-// observer sees the identical result bits, and the model is invoked
-// exactly once per distinct key — no duplicate kernel work when a scalar
-// racer lands on a grid-claimed entry, and no scalar recomputation of a
-// key a kernel block holds in flight (the creator-computes contract).
-// Run under -race this also pins the locking of the shard-batched claim.
+// asserts the cache's two guarantees: every observer sees the identical
+// result bits, and the model is invoked exactly once per distinct key —
+// whichever caller claims a key computes it, and every racer that lands
+// on it in flight waits for the published result (the creator-computes
+// contract). Run under -race this also pins the shard locking.
 func TestGridMapCtxScalarRaceExactlyOnce(t *testing.T) {
 	const n = 512
 	inner, g := gridTestModel(t, n)
