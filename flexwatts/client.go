@@ -11,7 +11,6 @@ import (
 	"repro/internal/optimize"
 	"repro/internal/pdn"
 	"repro/internal/sim"
-	"repro/internal/sweep"
 	"repro/internal/workload"
 )
 
@@ -31,7 +30,6 @@ type config struct {
 	params   pdn.Params
 	platform *domain.Platform
 	workers  int
-	cache    bool
 }
 
 // Option customizes a Client.
@@ -55,14 +53,11 @@ func WithWorkers(n int) Option {
 	return func(c *config) { c.workers = n }
 }
 
-// WithCache toggles the memoizing evaluation cache (default on): repeated
-// scalar baseline evaluations (Evaluate, EvaluateKind) and the optimizer's
-// base-parameter candidates cost one model run per Client. EvaluateBatch
-// never uses it: a batch always recomputes through the kernels, which
-// costs less than probing the cache. Disable it for memory-constrained
-// embedding.
+// WithCache is a no-op kept for compatibility: a Client has no evaluation
+// cache. Every verb recomputes through the models, whose results are the
+// same bits a cache would have served.
 func WithCache(enabled bool) Option {
-	return func(c *config) { c.cache = enabled }
+	return func(*config) {}
 }
 
 // WithPlatform evaluates against a specific platform model instead of the
@@ -76,22 +71,20 @@ func WithPlatform(p Platform) Option {
 }
 
 // Client is the front door of the evaluation API: the platform model, the
-// four baseline PDNs, FlexWatts with its characterized Algorithm 1
-// predictor, and a memoizing evaluation cache. It is safe for concurrent
-// use once constructed.
+// four baseline PDNs, and FlexWatts with its characterized Algorithm 1
+// predictor. It is safe for concurrent use once constructed.
 type Client struct {
 	platform  *domain.Platform
 	params    pdn.Params
 	baselines map[pdn.Kind]pdn.Model
 	flex      *core.Model
 	pred      *core.Predictor
-	cache     *sweep.Cache
 	// batch evaluates EvaluateBatch's points in one kernel pass, recycling
 	// its grids and result blocks across calls.
 	batch batch.Evaluator
 	// opt is the design-space search engine behind Optimize; it shares the
-	// client's platform, parameters, cache and worker bound, and owns its
-	// own grid arena so search candidates recycle blocks across runs.
+	// client's platform, parameters and worker bound, and owns its own
+	// grid arena so search candidates recycle blocks across runs.
 	opt optimize.Engine
 }
 
@@ -99,7 +92,7 @@ type Client struct {
 // characterizes the predictor's firmware ETEE tables, and applies the
 // given options.
 func NewClient(opts ...Option) (*Client, error) {
-	cfg := config{params: pdn.DefaultParams(), cache: true}
+	cfg := config{params: pdn.DefaultParams()}
 	for _, o := range opts {
 		o(&cfg)
 	}
@@ -132,13 +125,9 @@ func NewClient(opts ...Option) (*Client, error) {
 			Workers:   cfg.workers,
 		},
 	}
-	if cfg.cache {
-		c.cache = sweep.NewCache()
-	}
 	c.opt = optimize.Engine{
 		Platform: cfg.platform,
 		Base:     cfg.params,
-		Cache:    c.cache,
 		Workers:  cfg.workers,
 	}
 	return c, nil
@@ -214,8 +203,6 @@ func (c *Client) evaluate(kind Kind, pt Point) (Result, error) {
 		// scalar and batch evaluations report identical numbers.
 		mode = c.pred.Predict(core.InputsFromScenario(p.Scenario, p.TDP))
 		r, err = c.flex.EvaluateMode(p.Scenario, mode)
-	} else if c.cache != nil {
-		r, err = c.cache.Evaluate(c.baselines[p.Kind], p.Scenario)
 	} else {
 		r, err = c.baselines[p.Kind].Evaluate(p.Scenario)
 	}
@@ -275,8 +262,7 @@ func (c *Client) EvaluateMode(ctx context.Context, pt Point, mode Mode) (Result,
 // per PDN (FlexWatts points per the hybrid mode Algorithm 1 predicts for
 // them), one grid kernel call per group on the worker bound of
 // WithWorkers. The kernels are bitwise identical to the scalar models, so
-// the results are exactly those of per-point Evaluate calls. A batch
-// always recomputes: it neither reads nor fills the WithCache cache.
+// the results are exactly those of per-point Evaluate calls.
 //
 // Cancelling ctx aborts the batch with context.Cause(ctx). Per-point
 // failures report the lowest failing index, the same error a serial loop
