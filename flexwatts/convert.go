@@ -52,7 +52,8 @@ func kindFromInternal(k pdn.Kind) Kind {
 
 // internalWorkloadType maps a public workload class to the internal enum.
 // WorkloadUnset and unnamed values would map to MultiThread, so callers
-// screen them out first (Point.Validate, internalTrace, internalWorkload).
+// screen them out first (Point.Validate, internalTrace, internalWorkload,
+// mustWorkloadType).
 func internalWorkloadType(t WorkloadType) workload.Type {
 	switch t {
 	case SingleThread:
@@ -64,6 +65,16 @@ func internalWorkloadType(t WorkloadType) workload.Type {
 	default:
 		return workload.MultiThread
 	}
+}
+
+// mustWorkloadType converts t for the helpers that return no error: they
+// panic rather than let internalWorkloadType turn an unset or unnamed
+// class into Multi-Thread. fn names the helper in the message.
+func mustWorkloadType(fn string, t WorkloadType) workload.Type {
+	if t < SingleThread || t > BatteryLife {
+		panic(fmt.Sprintf("flexwatts: %s: WorkloadType(%d) is not a named workload class", fn, int(t)))
+	}
+	return internalWorkloadType(t)
 }
 
 // workloadTypeFromInternal maps the internal workload enum to the public

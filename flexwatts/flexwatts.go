@@ -55,9 +55,10 @@ func ThreeDMark06() []Workload {
 }
 
 // PowerVirus returns the synthetic maximum-power workload (AR = 1) used to
-// size guardbands and Iccmax (§2.4).
+// size guardbands and Iccmax (§2.4). It panics if t is not one of the four
+// named workload classes.
 func PowerVirus(t WorkloadType) Workload {
-	return workloadFromInternal(workload.PowerVirus(internalWorkloadType(t)))
+	return workloadFromInternal(workload.PowerVirus(mustWorkloadType("PowerVirus", t)))
 }
 
 // StandardTDPs returns the TDP grid of the paper's evaluation (Fig 4:

@@ -606,6 +606,58 @@ func TestTraceHelpers(t *testing.T) {
 	}
 }
 
+// mustPanic fails t unless f panics with a message containing want.
+func mustPanic(t *testing.T, want string, f func()) {
+	t.Helper()
+	defer func() {
+		t.Helper()
+		r := recover()
+		if msg, _ := r.(string); !strings.Contains(msg, want) {
+			t.Errorf("recovered %v, want a panic naming %q", r, want)
+		}
+	}()
+	f()
+}
+
+// unnamedWorkloadTypes are the classes the error-free helpers must refuse
+// rather than turn into Multi-Thread.
+var unnamedWorkloadTypes = map[string]flexwatts.WorkloadType{
+	"WorkloadType(0)":  flexwatts.WorkloadUnset,
+	"WorkloadType(42)": flexwatts.WorkloadType(42),
+}
+
+func TestPowerVirusPanicsOnUnnamedType(t *testing.T) {
+	for name, typ := range unnamedWorkloadTypes {
+		mustPanic(t, name, func() { flexwatts.PowerVirus(typ) })
+	}
+}
+
+func TestSteadyTracePanicsOnUnnamedType(t *testing.T) {
+	for name, typ := range unnamedWorkloadTypes {
+		mustPanic(t, name, func() { flexwatts.SteadyTrace("steady", typ, 0.5, 1) })
+	}
+}
+
+func TestMixedPanicsOnUnnamedType(t *testing.T) {
+	for name, typ := range unnamedWorkloadTypes {
+		mustPanic(t, name, func() { flexwatts.NewTraceGenerator(7).Mixed("m", typ, 10, 0.3, 0.8, 0.25) })
+	}
+}
+
+// TestBatteryTracePanicsOnDroppedResidency: a frame visits only C0MIN and
+// C2…C8, so a nonzero residency anywhere else would vanish from the trace.
+func TestBatteryTracePanicsOnDroppedResidency(t *testing.T) {
+	for _, c := range []flexwatts.CState{flexwatts.CState(42), flexwatts.C0} {
+		w := flexwatts.BatteryWorkload{Name: "bad", Residency: map[flexwatts.CState]float64{c: 0.5, flexwatts.C8: 0.5}}
+		mustPanic(t, "package state "+c.String()+" ", func() { flexwatts.BatteryTrace(w, 2, 1.0/60) })
+	}
+	// A zero residency drops nothing.
+	w := flexwatts.BatteryWorkload{Name: "ok", Residency: map[flexwatts.CState]float64{flexwatts.C0: 0, flexwatts.C8: 1}}
+	if tr := flexwatts.BatteryTrace(w, 2, 1.0/60); len(tr.Phases) != 2 || tr.Phases[0].CState != flexwatts.C8 {
+		t.Errorf("zero-residency C0: trace %+v, want two C8 phases", tr)
+	}
+}
+
 // TestSimulateTraceRejectsInvalidPhases: a phase whose package state or
 // workload class is not a named value, or an active phase without a
 // workload class, must fail with ErrInvalidPoint rather than run as a
