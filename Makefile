@@ -99,10 +99,11 @@ perfbench-ab:
 	bash scripts/perfbench_ab.sh '$(BASE)' '$(WORKLOAD)' '$(PAIRS)' '$(SECONDS)' '$(SEED)'
 
 # Boot the flexwattsd daemon (built with -race), hit every endpoint class,
-# diff the served ASCII bodies against the committed goldens, check the
-# evaluate stream's NDJSON lines and a 5-candidate /v1/optimize frontier,
-# and check that /metrics booked points, streamed points and candidates
-# and counted no 5xx answer.
+# diff the served ASCII bodies against the committed goldens (fig2b's grids
+# resolve through the shared cache), check the evaluate stream's NDJSON
+# lines and a 5-candidate /v1/optimize frontier, require that search to add
+# keys and hits to /v1/admin/cache, and check that /metrics booked points,
+# streamed points and candidates and counted no 5xx answer.
 smoke:
 	bash scripts/smoke_flexwattsd.sh
 

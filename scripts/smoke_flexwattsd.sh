@@ -1,10 +1,12 @@
 #!/usr/bin/env bash
 # Smoke test for the flexwattsd serving daemon: build it with the race
 # detector, boot it, hit /healthz and one experiment endpoint per format,
-# diff the served ASCII body against the committed golden, post one batch
-# to each evaluate route and one small search to /v1/optimize, and check
-# that /metrics booked that work and counted no 5xx answer. Run by
-# `make smoke` locally and by the CI smoke job.
+# diff served ASCII bodies against the committed goldens (fig2b among them,
+# the figure whose grids resolve point by point through the shared cache),
+# post one batch to each evaluate route and one small search to
+# /v1/optimize, check that the search added keys and hits to
+# /v1/admin/cache, and check that /metrics booked that work and counted no
+# 5xx answer. Run by `make smoke` locally and by the CI smoke job.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -43,6 +45,8 @@ curl -fsS "$BASE/v1/experiments/tab1?format=ascii" -o "$OUT/tab1.ascii"
 diff -u internal/experiments/testdata/tab1.golden "$OUT/tab1.ascii"
 curl -fsS "$BASE/v1/experiments/fig4j?format=ascii" -o "$OUT/fig4j.ascii"
 diff -u internal/experiments/testdata/fig4j.golden "$OUT/fig4j.ascii"
+curl -fsS "$BASE/v1/experiments/fig2b?format=ascii" -o "$OUT/fig2b.ascii"
+diff -u internal/experiments/testdata/fig2b.golden "$OUT/fig2b.ascii"
 echo "   golden diff clean"
 
 echo "== json body must parse"
@@ -73,14 +77,21 @@ lines = open(sys.argv[1]).read().splitlines()
 sys.exit(not (len(lines) == 2 and all("result" in json.loads(l) for l in lines)))
 ' "$OUT/stream.ndjson" || fail "the stream did not answer two result lines"
 
-echo "== optimize: exhaustive 5-candidate search"
+echo "== optimize: exhaustive 5-candidate search through the shared cache"
+curl -fsS "$BASE/v1/admin/cache" -o "$OUT/cache_before.json"
 curl -fsS -X POST "$BASE/v1/optimize" \
     -d '{"tdp":18,"loadline_scales":[1],"guardband_scales":[1],"seed":1}' -o "$OUT/optimize.json"
+curl -fsS "$BASE/v1/admin/cache" -o "$OUT/cache_after.json"
 python3 -c '
 import json, sys
 r = json.load(open(sys.argv[1]))
 sys.exit(not (r["evaluated"] == 5 and r["frontier"]))
 ' "$OUT/optimize.json" || fail "optimize did not answer 5 evaluated candidates and a frontier"
+python3 -c '
+import json, sys
+before, after = (json.load(open(p))["memory"] for p in sys.argv[1:])
+sys.exit(not (after["keys"] > before["keys"] and after["hits"] > before["hits"]))
+' "$OUT/cache_before.json" "$OUT/cache_after.json" || fail "the search added no cache keys or no cache hits"
 
 echo "== metrics: the work is booked and no answer was a 5xx"
 curl -fsS "$BASE/metrics" -o "$OUT/metrics.txt"
