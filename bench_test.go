@@ -1,6 +1,7 @@
 // Package repro's root bench harness regenerates every table and figure of
 // the paper's evaluation as a testing.B benchmark (run with
-// `go test -bench=. -benchmem`), plus the DESIGN.md ablation benches.
+// `go test -bench=. -benchmem`), plus ablation benches for FlexWatts design
+// choices the figures hold fixed.
 // Each figure benchmark reports the experiment's headline quantity as a
 // custom metric so `go test -bench` output doubles as a results table.
 package repro_test
@@ -60,7 +61,7 @@ func benchExperiment(b *testing.B, id string) {
 	}
 }
 
-// One benchmark per paper table/figure (DESIGN.md per-experiment index).
+// One benchmark per paper table/figure (the README's "Experiment ids" table).
 
 func BenchmarkFig2a(b *testing.B) { benchExperiment(b, "fig2a") }
 func BenchmarkFig2b(b *testing.B) { benchExperiment(b, "fig2b") }
@@ -469,7 +470,8 @@ func BenchmarkTraceSim(b *testing.B) {
 	}
 }
 
-// --- Ablation benches (DESIGN.md "Design choices called out for ablation").
+// --- Ablation benches: predictor table resolution, minimum mode residency,
+// the shared-rail load-line penalty, and Algorithm 1 against an oracle.
 
 // BenchmarkAblationTableRes quantifies predictor quality versus firmware
 // table resolution: it reports the ETEE lost to mispredictions (relative to

@@ -27,7 +27,7 @@
 // directly.
 //
 // Experiment ids follow the paper's figure/table numbering (fig2a ... fig8e,
-// tab1, tab2, obs); see DESIGN.md for the per-experiment index.
+// tab1, tab2, obs); the README's "Experiment ids" table lists them all.
 package main
 
 import (

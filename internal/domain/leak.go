@@ -9,12 +9,14 @@ import (
 )
 
 // leakEntry memoizes one leakage evaluation point. Leakage depends only on
-// (PleakRef, v, tj); grid construction revisits the same handful of
-// voltage/temperature points per domain thousands of times (TDPScenario's
-// binary search over the DVFS grid re-evaluates Power at every probe, and a
-// rectangular TDP×AR sweep re-derives the same frequencies per column), so
-// the LeakPow·math.Exp product is worth memoizing the same way
-// loadline.GuardbandScale is: a hit still costs less than LeakPow.
+// (PleakRef, v, tj), and its callers keep returning to the same few points:
+// CStateScenario's C0MIN loads evaluate every compute domain at its minimum
+// frequency and the battery-life temperature on each call, cost.Size
+// re-derives the same design-point virus powers for every PDN kind at a
+// TDP, and BuildScenario (pmu.Allocate's frequency walk) revisits the same
+// DVFS points per domain. So the LeakPow·math.Exp product is worth
+// memoizing the same way loadline.GuardbandScale is: a hit still costs
+// less than LeakPow.
 type leakEntry struct {
 	pref units.Watt
 	v    units.Volt

@@ -1,5 +1,5 @@
 // Package experiments contains one driver per table and figure of the
-// paper's evaluation (see DESIGN.md's per-experiment index). Each driver
+// paper's evaluation (see the README's "Experiment ids" table). Each driver
 // computes the same rows/series the paper reports and returns them as a
 // typed report.Dataset, so the repository's cmd/flexwatts binary, the
 // flexwattsd HTTP service and the bench harness can regenerate every

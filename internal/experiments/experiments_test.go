@@ -45,7 +45,7 @@ func TestUnknownExperiment(t *testing.T) {
 
 func TestRegistryComplete(t *testing.T) {
 	// Every figure/table of the paper's evaluation has a registered
-	// regenerator (the DESIGN.md per-experiment index).
+	// regenerator (the README's "Experiment ids" table).
 	want := []string{
 		"fig2a", "fig2b", "fig3", "fig4", "fig4j", "fig5", "fig7",
 		"fig8a", "fig8b", "fig8c", "fig8d", "fig8e", "obs", "tab1", "tab2",
