@@ -49,10 +49,10 @@ func Fig2a(e *Env) (*report.Dataset, error) {
 // using at each TDP the commonly-used PDN with the highest loss (IVR at low
 // TDP, MBVR at high TDP), as the paper does.
 //
-// The TDP axis is a rectangular grid (same scenario evaluated under three
-// PDNs), so the driver goes through the batch path: one EvalGrid per kind
-// instead of 3×len(tdps) per-point Eval calls. The kernel's bitwise
-// contract keeps the rendered dataset — and the golden file — identical.
+// The TDP axis is one grid evaluated under three PDNs, so the driver
+// builds it once and runs one EvalGrid per kind, spreading each over the
+// env's workers; the points resolve through the env's cache exactly as
+// per-point Eval calls would.
 func Fig2b(e *Env) (*report.Dataset, error) {
 	const ar = 0.56
 	tdps := workload.StandardTDPs()

@@ -14,7 +14,8 @@
 // Four entry points remain, one per caller shape: Map and MapCtx run a
 // per-point closure and collect its results; StreamCtx delivers them in
 // order through a bounded window; GridMapCtx runs whole grid chunks
-// through a model's batch kernel and the cache.
+// through Cache.EvaluateGrid (the model's kernel without a cache, the
+// cache point by point with one).
 package sweep
 
 import (
