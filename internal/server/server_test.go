@@ -293,10 +293,13 @@ func TestEvaluateErrors(t *testing.T) {
 // TestEvaluateEnvelopes pins the exact status and body bytes both evaluate
 // routes answer for malformed, unusual and oversized request bodies. Error
 // envelopes are the same on both routes; a 200 is the indented response on
-// /v1/evaluate and NDJSON lines on /v1/evaluate/stream. The server caps
-// bodies at 512 bytes, so the last three bodies run past the limit: one
-// holds a complete value inside it (answered as if the limit were not
-// there), one is cut by it (413), and one has a syntax error inside it.
+// /v1/evaluate and NDJSON lines on /v1/evaluate/stream. Names in mixed
+// case, padded or aliased answer as the library's parsers read them, and
+// an unknown name fails the first point that carries one, after every
+// earlier point has validated. The server caps bodies at 512 bytes, so the
+// last three bodies run past the limit: one holds a complete value inside
+// it (answered as if the limit were not there), one is cut by it (413),
+// and one has a syntax error inside it.
 func TestEvaluateEnvelopes(t *testing.T) {
 	envOnce.Do(func() { envVal, envErr = experiments.NewEnv() })
 	if envErr != nil {
@@ -358,6 +361,25 @@ func TestEvaluateEnvelopes(t *testing.T) {
 		{"idle and whitespace", "\n{ \"points\" : [ {\"pdn\":\"LDO\",\"cstate\":\"C8\"},\t{\"pdn\":\"FlexWatts\",\"tdp\":4,\"workload\":\"graphics\",\"ar\":0.25} ] }\n", http.StatusOK,
 			"{\n  \"results\": [\n    {\n      \"pdn\": \"LDO\",\n      \"cstate\": \"C8\",\n      \"etee\": 0.8244809048688281,\n      \"p_nom\": 0.13,\n      \"p_in\": 0.15767496764607608,\n      \"loss\": 0.027674967646076076\n    },\n    {\n      \"pdn\": \"FlexWatts\",\n      \"cstate\": \"C0\",\n      \"etee\": 0.7313301439355002,\n      \"p_nom\": 2.9300000000000006,\n      \"p_in\": 4.0063985113929785,\n      \"loss\": 1.076398511392978\n    }\n  ],\n  \"workers\": 2\n}\n",
 			"{\"index\":0,\"result\":{\"pdn\":\"LDO\",\"cstate\":\"C8\",\"etee\":0.8244809048688281,\"p_nom\":0.13,\"p_in\":0.15767496764607608,\"loss\":0.027674967646076076}}\n{\"index\":1,\"result\":{\"pdn\":\"FlexWatts\",\"cstate\":\"C0\",\"etee\":0.7313301439355002,\"p_nom\":2.9300000000000006,\"p_in\":4.0063985113929785,\"loss\":1.076398511392978}}\n"},
+		{"unknown workload", `{"points":[{"pdn":"IVR","tdp":18,"workload":"mining","ar":0.6}]}`, http.StatusBadRequest,
+			"{\n  \"code\": \"invalid_point\",\n  \"error\": \"point 0: invalid point: invalid point: flexwatts: unknown workload type \\\"mining\\\" (have Single-Thread, Multi-Thread, Graphics, Battery-Life)\"\n}\n", ""},
+		{"unknown cstate", `{"points":[{"pdn":"LDO","cstate":"C99"}]}`, http.StatusBadRequest,
+			"{\n  \"code\": \"invalid_point\",\n  \"error\": \"point 0: invalid point: invalid point: flexwatts: unknown package state \\\"C99\\\" (have C0, C0MIN, C2, C3, C6, C7, C8)\"\n}\n", ""},
+		{"unknown pdn after a good point", `{"points":[{"pdn":"IVR","tdp":18,"workload":"graphics","ar":0.5},{"pdn":"XVR","tdp":18,"workload":"graphics","ar":0.5}]}`, http.StatusBadRequest,
+			"{\n  \"code\": \"invalid_point\",\n  \"error\": \"point 1: invalid point: invalid point: flexwatts: unknown PDN kind \\\"XVR\\\" (have IVR, MBVR, LDO, I+MBVR, FlexWatts)\"\n}\n", ""},
+		{"invalid point before an unknown pdn", `{"points":[{"pdn":"IVR","tdp":18,"workload":"graphics","ar":2},{"pdn":"XVR"}]}`, http.StatusBadRequest,
+			"{\n  \"code\": \"invalid_point\",\n  \"error\": \"point 0: invalid point: flexwatts: invalid point: AR 2 outside (0,1]\"\n}\n", ""},
+		{"mixed-case pdn", `{"points":[{"pdn":"Ivr","tdp":18,"workload":"multi-thread","ar":0.6}]}`, http.StatusOK,
+			"{\n  \"results\": [\n    {\n      \"pdn\": \"IVR\",\n      \"cstate\": \"C0\",\n      \"etee\": 0.7009583832253126,\n      \"p_nom\": 11.350000000000001,\n      \"p_in\": 16.19211678127789,\n      \"loss\": 4.842116781277888\n    }\n  ],\n  \"workers\": 1\n}\n",
+			"{\"index\":0,\"result\":{\"pdn\":\"IVR\",\"cstate\":\"C0\",\"etee\":0.7009583832253126,\"p_nom\":11.350000000000001,\"p_in\":16.19211678127789,\"loss\":4.842116781277888}}\n"},
+		{"IMBVR alias", `{"points":[{"pdn":"imbvr","tdp":18,"workload":"Multi-Thread","ar":0.6}]}`, http.StatusOK,
+			"{\n  \"results\": [\n    {\n      \"pdn\": \"I+MBVR\",\n      \"cstate\": \"C0\",\n      \"etee\": 0.7117837531591176,\n      \"p_nom\": 11.350000000000001,\n      \"p_in\": 15.94585427052131,\n      \"loss\": 4.5958542705213095\n    }\n  ],\n  \"workers\": 1\n}\n",
+			"{\"index\":0,\"result\":{\"pdn\":\"I+MBVR\",\"cstate\":\"C0\",\"etee\":0.7117837531591176,\"p_nom\":11.350000000000001,\"p_in\":15.94585427052131,\"loss\":4.5958542705213095}}\n"},
+		{"padded workload", `{"points":[{"pdn":"MBVR","tdp":10,"workload":" Graphics","ar":0.7}]}`, http.StatusOK,
+			"{\n  \"results\": [\n    {\n      \"pdn\": \"MBVR\",\n      \"cstate\": \"C0\",\n      \"etee\": 0.7119891441827003,\n      \"p_nom\": 5.85,\n      \"p_in\": 8.216417410008793,\n      \"loss\": 2.3664174100087934\n    }\n  ],\n  \"workers\": 1\n}\n",
+			"{\"index\":0,\"result\":{\"pdn\":\"MBVR\",\"cstate\":\"C0\",\"etee\":0.7119891441827003,\"p_nom\":5.85,\"p_in\":8.216417410008793,\"loss\":2.3664174100087934}}\n"},
+		{"battery-life at C0", `{"points":[{"pdn":"IVR","tdp":18,"workload":"Battery-Life","ar":0.6}]}`, http.StatusBadRequest,
+			"{\n  \"code\": \"invalid_point\",\n  \"error\": \"point 0: invalid point: workload: TDPScenario does not model Battery-Life\"\n}\n", ""},
 		{"past limit, value inside", `{"points":[{"pdn":"MBVR","tdp":25,"workload":"multi-thread","ar":0.9}]}` + pad, http.StatusOK,
 			"{\n  \"results\": [\n    {\n      \"pdn\": \"MBVR\",\n      \"cstate\": \"C0\",\n      \"etee\": 0.7225738634943363,\n      \"p_nom\": 15.55,\n      \"p_in\": 21.520291261021907,\n      \"loss\": 5.970291261021906\n    }\n  ],\n  \"workers\": 1\n}\n",
 			"{\"index\":0,\"result\":{\"pdn\":\"MBVR\",\"cstate\":\"C0\",\"etee\":0.7225738634943363,\"p_nom\":15.55,\"p_in\":21.520291261021907,\"loss\":5.970291261021906}}\n"},
