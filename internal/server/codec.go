@@ -10,21 +10,23 @@ import (
 	"sync"
 	"unsafe"
 
+	"repro/flexwatts"
 	"repro/flexwatts/api"
 	"repro/internal/batch"
 	"repro/internal/domain"
 	"repro/internal/pdn"
-	"repro/internal/workload"
 )
 
 // The evaluate routes' wire codec. Both routes speak one schema, so they
 // read and write it without reflection:
 //
 //   - A request body is read once into a pooled evalRequest. scanEvalPoints
-//     reads a canonical body (see there) straight into []api.EvalPoint;
-//     any other body goes to json.Decoder with DisallowUnknownFields, the
-//     decoder every body went through before, so every spelling it accepts
-//     and every error it reports stay as they were.
+//     reads a canonical body (see there) straight into typed
+//     []flexwatts.Point, resolving each name through one table of the
+//     vocabulary's spellings; any other body goes to json.Decoder with
+//     DisallowUnknownFields and api.EvalPoint.Point, the path every body
+//     went through before, so every spelling it accepts and every error it
+//     reports stay as they were.
 //   - Results are appended as bytes straight from the batch's result
 //     blocks, in exactly the bytes json.Encoder writes for
 //     api.EvalResponse (indented) and api.EvalStreamResult (one line).
@@ -35,7 +37,7 @@ import (
 // instead of allocating them for every request.
 type evalRequest struct {
 	body   []byte
-	points []api.EvalPoint
+	points []flexwatts.Point
 	jobs   []batch.Point
 	out    []byte
 }
@@ -81,15 +83,22 @@ type errReader struct{ err error }
 
 func (r errReader) Read([]byte) (int, error) { return 0, r.err }
 
-// decode returns the points of the request body, scanned into q.points
-// when the body is canonical. readErr is the error that ended reading the
-// body, if any: json.Decoder sees the body's bytes and then that error, as
-// it would have reading the request itself, so a complete value before
-// the error still decodes and a cut one reports the error.
-func (q *evalRequest) decode(readErr error) ([]api.EvalPoint, error) {
+// decode reads the request body's points into q.points and returns how
+// many the body holds. A canonical body is scanned straight into them. Any
+// other goes to json.Decoder, and api.EvalPoint.Point parses its points in
+// order up to the first whose names it rejects: q.points then holds the
+// points before that one, and badName is its error, which the caller
+// reports once those points have validated, as buildJob reported it when
+// it parsed each point itself.
+//
+// readErr is the error that ended reading the body, if any: json.Decoder
+// sees the body's bytes and then that error, as it would have reading the
+// request itself, so a complete value before the error still decodes and
+// a cut one reports the error.
+func (q *evalRequest) decode(readErr error) (n int, badName, err error) {
 	var ok bool
 	if q.points, ok = scanEvalPoints(q.body, q.points); ok {
-		return q.points, nil
+		return len(q.points), nil, nil
 	}
 	var src io.Reader = bytes.NewReader(q.body)
 	if readErr != nil {
@@ -98,37 +107,18 @@ func (q *evalRequest) decode(readErr error) ([]api.EvalPoint, error) {
 	dec := json.NewDecoder(src)
 	dec.DisallowUnknownFields()
 	var req api.EvalRequest
-	err := dec.Decode(&req)
-	return req.Points, err
-}
-
-// wireVocab maps each canonical vocabulary name, and its lowercase
-// spelling, to itself, so a scanned name that matches one allocates
-// nothing.
-var wireVocab = func() map[string]string {
-	m := map[string]string{}
-	add := func(s string) {
-		m[s] = s
-		lower := strings.ToLower(s)
-		m[lower] = lower
+	if err := dec.Decode(&req); err != nil {
+		return 0, nil, err
 	}
-	for _, k := range pdn.AllKinds() {
-		add(k.String())
+	q.points = q.points[:0]
+	for _, p := range req.Points {
+		pt, err := p.Point()
+		if err != nil {
+			return len(req.Points), err, nil
+		}
+		q.points = append(q.points, pt)
 	}
-	for _, t := range append(workload.Types(), workload.BatteryLife) {
-		add(t.String())
-	}
-	for _, c := range domain.CStates() {
-		add(c.String())
-	}
-	return m
-}()
-
-func vocabString(b []byte) string {
-	if s, ok := wireVocab[string(b)]; ok {
-		return s
-	}
-	return string(b)
+	return len(req.Points), nil, nil
 }
 
 // Point keys, one bit each, to reject a key used twice.
@@ -140,21 +130,57 @@ const (
 	keyCState
 )
 
+// vocabName is what a name means in the one point field that takes it.
+type vocabName struct {
+	key int // keyPDN, keyWorkload or keyCState
+	val int // the flexwatts enum value api.EvalPoint.Point parses it to
+}
+
+// wireVocab holds each vocabulary name as the library spells it and in
+// lowercase, resolved once through the library's parsers, so a scanned
+// name costs one lookup and no parse. The parsers accept more (any case,
+// "IMBVR", padding, a missing hyphen, the empty name); the scanner leaves
+// those to json.Decoder and api.EvalPoint.Point.
+var wireVocab = func() map[string]vocabName {
+	m := map[string]vocabName{}
+	addVocab(m, keyPDN, flexwatts.AllKinds(), flexwatts.ParseKind)
+	addVocab(m, keyWorkload, append(flexwatts.WorkloadTypes(), flexwatts.BatteryLife), flexwatts.ParseWorkloadType)
+	addVocab(m, keyCState, flexwatts.CStates(), flexwatts.ParseCState)
+	return m
+}()
+
+// addVocab enters each value's name and its lowercase spelling into m as
+// parse reads them.
+func addVocab[T interface {
+	~int
+	String() string
+}](m map[string]vocabName, key int, vals []T, parse func(string) (T, error)) {
+	for _, v := range vals {
+		for _, name := range []string{v.String(), strings.ToLower(v.String())} {
+			if t, err := parse(name); err == nil {
+				m[name] = vocabName{key, int(t)}
+			}
+		}
+	}
+}
+
 // scanEvalPoints reads a canonical evaluate request body into pts[:0] and
 // reports whether the body was canonical:
 //
 //   - one object whose single key is "points", an array of point objects;
-//   - point keys spelled in lowercase, each used at most once;
-//   - strings of printable ASCII with no backslash;
+//   - point keys spelled in lowercase, each used at most once, "pdn"
+//     always among them;
+//   - names that wireVocab holds for their key;
 //   - numbers in JSON's grammar that strconv.ParseFloat parses without a
 //     range error;
 //   - JSON whitespace anywhere between tokens.
 //
 // Bytes after the closing brace are not read, as json.Decoder.Decode does
-// not read them. On every such body the decoder returns the same points,
-// so which path reads it is invisible (FuzzDecodeEvalPoints). A body
-// reported non-canonical may have left any points in pts.
-func scanEvalPoints(body []byte, pts []api.EvalPoint) ([]api.EvalPoint, bool) {
+// not read them. On every such body json.Decoder and api.EvalPoint.Point
+// return the same points, so which path reads it is invisible
+// (FuzzDecodeEvalPoints). A body reported non-canonical may have left any
+// points in pts.
+func scanEvalPoints(body []byte, pts []flexwatts.Point) ([]flexwatts.Point, bool) {
 	sc := scanner{b: body}
 	pts = pts[:0]
 	if !sc.lit('{') || string(sc.str()) != "points" || !sc.lit(':') || !sc.lit('[') {
@@ -208,7 +234,8 @@ func (s *scanner) lit(c byte) bool {
 	return true
 }
 
-// str consumes a canonical string and returns its contents, or nil.
+// str consumes a string of printable ASCII with no backslash and returns
+// its contents, or nil.
 func (s *scanner) str() []byte {
 	if !s.lit('"') {
 		s.bad = true
@@ -276,14 +303,23 @@ func (s *scanner) num() float64 {
 	return f
 }
 
-// point consumes one point object.
-func (s *scanner) point() (api.EvalPoint, bool) {
-	var p api.EvalPoint
-	if !s.lit('{') {
-		return p, false
+// name consumes a string that wireVocab holds for key and returns its
+// value.
+func (s *scanner) name(key int) int {
+	n, ok := wireVocab[string(s.str())]
+	if !ok || n.key != key {
+		s.bad = true
 	}
-	if s.lit('}') {
-		return p, true
+	return n.val
+}
+
+// point consumes one point object. A point without "pdn" is not
+// canonical: the typed point would read as FlexWatts, the zero Kind, where
+// api.EvalPoint.Point rejects the missing name.
+func (s *scanner) point() (flexwatts.Point, bool) {
+	var p flexwatts.Point
+	if !s.lit('{') || s.lit('}') {
+		return p, false
 	}
 	seen := 0
 	for {
@@ -294,15 +330,15 @@ func (s *scanner) point() (api.EvalPoint, bool) {
 		var bit int
 		switch string(key) {
 		case "pdn":
-			bit, p.PDN = keyPDN, vocabString(s.str())
+			bit, p.PDN = keyPDN, flexwatts.Kind(s.name(keyPDN))
 		case "tdp":
-			bit, p.TDP = keyTDP, s.num()
+			bit, p.TDP = keyTDP, flexwatts.Watt(s.num())
 		case "workload":
-			bit, p.Workload = keyWorkload, vocabString(s.str())
+			bit, p.Workload = keyWorkload, flexwatts.WorkloadType(s.name(keyWorkload))
 		case "ar":
 			bit, p.AR = keyAR, s.num()
 		case "cstate":
-			bit, p.CState = keyCState, vocabString(s.str())
+			bit, p.CState = keyCState, flexwatts.CState(s.name(keyCState))
 		default:
 			return p, false
 		}
@@ -311,7 +347,7 @@ func (s *scanner) point() (api.EvalPoint, bool) {
 		}
 		seen |= bit
 		if s.lit('}') {
-			return p, true
+			return p, seen&keyPDN != 0
 		}
 		if !s.lit(',') {
 			return p, false
@@ -354,7 +390,7 @@ var (
 
 // appendResult appends the api.EvalResult of a point of kind and package
 // state cs that evaluated to res. The kind and state names need no JSON
-// escaping (TestWireNamesNeedNoEscaping).
+// escaping (TestAppendResultMatchesEncoder).
 func appendResult(b []byte, form *resultForm, kind pdn.Kind, cs domain.CState, res pdn.Result) ([]byte, error) {
 	b = append(b, form.open...)
 	b = append(b, `"pdn"`...)

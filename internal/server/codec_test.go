@@ -10,6 +10,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/flexwatts"
 	"repro/flexwatts/api"
 	"repro/internal/domain"
 	"repro/internal/experiments"
@@ -167,44 +168,56 @@ func TestAppendResultMatchesEncoder(t *testing.T) {
 	}
 }
 
-// decodeReference is the decoder every evaluate body went through before
-// the scanner, and every non-canonical body still goes through.
-func decodeReference(body []byte) ([]api.EvalPoint, error) {
+// decodeReference is the path every evaluate body went through before the
+// scanner, and every non-canonical body still goes through: json.Decoder,
+// then api.EvalPoint.Point on each point.
+func decodeReference(body []byte) ([]flexwatts.Point, error) {
 	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
 	var req api.EvalRequest
-	err := dec.Decode(&req)
-	return req.Points, err
+	if err := dec.Decode(&req); err != nil {
+		return nil, err
+	}
+	pts := make([]flexwatts.Point, len(req.Points))
+	for i, p := range req.Points {
+		var err error
+		if pts[i], err = p.Point(); err != nil {
+			return nil, fmt.Errorf("point %d: %w", i, err)
+		}
+	}
+	return pts, nil
 }
 
-// samePoints compares points field by field, floats by their bits.
-func samePoints(a, b []api.EvalPoint) bool {
+// samePoints compares typed points field by field, floats by their bits.
+func samePoints(a, b []flexwatts.Point) bool {
 	if len(a) != len(b) {
 		return false
 	}
 	for i := range a {
 		p, q := a[i], b[i]
 		if p.PDN != q.PDN || p.Workload != q.Workload || p.CState != q.CState ||
-			math.Float64bits(p.TDP) != math.Float64bits(q.TDP) || math.Float64bits(p.AR) != math.Float64bits(q.AR) {
+			math.Float64bits(float64(p.TDP)) != math.Float64bits(float64(q.TDP)) || math.Float64bits(p.AR) != math.Float64bits(q.AR) {
 			return false
 		}
 	}
 	return true
 }
 
-// scanCases are bodies on both sides of the canonical form.
+// scanCases are bodies on both sides of the canonical form. Each
+// non-canonical point names its PDN unless the row is about that name, so
+// the row fails the scan for the one reason it shows.
 var scanCases = []struct {
 	body      string
 	canonical bool
 }{
 	{`{"points":[{"pdn":"IVR","tdp":18,"workload":"Multi-Thread","ar":0.6}]}`, true},
 	{`{"points":[{"pdn":"FlexWatts","tdp":4.125,"workload":"single-thread","ar":5e-1},{"pdn":"LDO","cstate":"C6"}]}`, true},
-	{"\r\n{ \"points\" :\t[ { \"ar\" : 1E+0 , \"tdp\" : -0 , \"pdn\" : \"MBVR\" } , {} ] } trailing", true},
+	{"\r\n{ \"points\" :\t[ { \"ar\" : 1E+0 , \"tdp\" : -0 , \"pdn\" : \"MBVR\" } , {\"pdn\":\"ldo\"} ] } trailing", true},
 	{`{"points":[]}`, true},
-	{`{"points":[{"pdn":"I+MBVR","tdp":1e-400,"workload":"Mining","cstate":"c99"}]}`, true},
+	{`{"points":[{"pdn":"I+MBVR","tdp":1e-400,"workload":"Mining","cstate":"c99"}]}`, false},
 	{`{"points":[{"pdn":"IVR","tdp":18,"workload":"Multi-Thread","ar":0.6}]}]`, true},
 	{`{"Points":[]}`, false},
-	{`{"points":[{"PDN":"IVR"}]}`, false},
+	{`{"points":[{"pdn":"IVR","TDP":18}]}`, false},
 	{`{"points":[{"pdn":"IVR","pdn":"LDO"}]}`, false},
 	{`{"points":[{"pdn":"I\u002bMBVR"}]}`, false},
 	{"{\"points\":[{\"pdn\":\"IV\xffR\"}]}", false},
@@ -213,23 +226,34 @@ var scanCases = []struct {
 	{`{"points":[{"pdn":null}]}`, false},
 	{`{"points":null}`, false},
 	{`{"points":[null]}`, false},
-	{`{"points":[{"tdp":"18"}]}`, false},
-	{`{"points":[{"tdp":1e400}]}`, false},
-	{`{"points":[{"tdp":018}]}`, false},
-	{`{"points":[{"tdp":.5}]}`, false},
-	{`{"points":[{"tdp":1.}]}`, false},
-	{`{"points":[{"tdp":+1}]}`, false},
-	{`{"points":[{"vr":1}]}`, false},
+	{`{"points":[{"pdn":"IVR","tdp":"18"}]}`, false},
+	{`{"points":[{"pdn":"IVR","tdp":1e400}]}`, false},
+	{`{"points":[{"pdn":"IVR","tdp":018}]}`, false},
+	{`{"points":[{"pdn":"IVR","tdp":.5}]}`, false},
+	{`{"points":[{"pdn":"IVR","tdp":1.}]}`, false},
+	{`{"points":[{"pdn":"IVR","tdp":+1}]}`, false},
+	{`{"points":[{"pdn":"IVR","vr":1}]}`, false},
 	{`{"points":[{"pdn":"IVR"},]}`, false},
 	{`{"points":[],"points":[]}`, false},
 	{`{}`, false},
 	{`{"points":[{"pdn":"IVR"}]`, false},
 	{`"I+MBVR"`, false},
 	{``, false},
+	{`{"points":[{"pdn":"i+mbvr","tdp":1e-400,"workload":"battery-life","cstate":"c0min"}]}`, true},
+	{`{"points":[{"pdn":"IVR","cstate":"C0"},{"pdn":"flexwatts","cstate":"c8"}]}`, true},
+	{`{"points":[{}]}`, false},
+	{`{"points":[{"tdp":18,"workload":"graphics","ar":0.5}]}`, false},
+	{`{"points":[{"pdn":"Ivr"}]}`, false},
+	{`{"points":[{"pdn":"imbvr"}]}`, false},
+	{`{"points":[{"pdn":"IVR","workload":" Graphics"}]}`, false},
+	{`{"points":[{"pdn":"IVR","workload":"multithread"}]}`, false},
+	{`{"points":[{"pdn":"IVR","workload":""}]}`, false},
+	{`{"points":[{"pdn":"C6"}]}`, false},
+	{`{"points":[{"pdn":"IVR","cstate":"Graphics"}]}`, false},
 }
 
 // TestScanEvalPoints pins which bodies the scanner reads itself and that
-// it reads them exactly as json.Decoder does.
+// it reads them exactly as json.Decoder and api.EvalPoint.Point do.
 func TestScanEvalPoints(t *testing.T) {
 	for _, tc := range scanCases {
 		got, ok := scanEvalPoints([]byte(tc.body), nil)
@@ -247,12 +271,12 @@ func TestScanEvalPoints(t *testing.T) {
 	}
 }
 
-// TestScanVocabularyAllocFree pins that a canonical point spelled in the
-// paper's vocabulary allocates nothing: its names are the interned
-// constants.
+// TestScanVocabularyAllocFree pins that scanning a canonical body
+// allocates nothing and resolves its names to the typed points they
+// spell.
 func TestScanVocabularyAllocFree(t *testing.T) {
 	body := []byte(`{"points":[{"pdn":"I+MBVR","tdp":18.5,"workload":"Multi-Thread","ar":0.6},{"pdn":"flexwatts","cstate":"C0MIN"}]}`)
-	pts := make([]api.EvalPoint, 0, 2)
+	pts := make([]flexwatts.Point, 0, 2)
 	if avg := testing.AllocsPerRun(100, func() {
 		var ok bool
 		if pts, ok = scanEvalPoints(body, pts); !ok {
@@ -261,11 +285,18 @@ func TestScanVocabularyAllocFree(t *testing.T) {
 	}); avg != 0 {
 		t.Errorf("scanning a canonical body: %.1f allocs, want 0", avg)
 	}
+	want := []flexwatts.Point{
+		{PDN: flexwatts.IMBVR, TDP: 18.5, Workload: flexwatts.MultiThread, AR: 0.6},
+		{PDN: flexwatts.FlexWatts, CState: flexwatts.C0MIN},
+	}
+	if !samePoints(pts, want) {
+		t.Errorf("scanned %+v, want %+v", pts, want)
+	}
 }
 
 // FuzzDecodeEvalPoints is the scanner's differential check: whenever it
-// accepts a body, json.Decoder with DisallowUnknownFields must decode the
-// same points without error.
+// accepts a body, json.Decoder with DisallowUnknownFields followed by
+// api.EvalPoint.Point must give the same typed points without error.
 func FuzzDecodeEvalPoints(f *testing.F) {
 	for _, tc := range scanCases {
 		f.Add([]byte(tc.body))
@@ -277,7 +308,7 @@ func FuzzDecodeEvalPoints(f *testing.F) {
 		}
 		want, err := decodeReference(body)
 		if err != nil {
-			t.Fatalf("scanner accepted a body json.Decoder rejects (%v): %q", err, body)
+			t.Fatalf("scanner accepted a body the decoder path rejects (%v): %q", err, body)
 		}
 		if !samePoints(got, want) {
 			t.Fatalf("%q: scanned %+v, json.Decoder %+v", body, got, want)

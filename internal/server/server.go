@@ -10,15 +10,17 @@
 // The two evaluate routes read and write their one schema without
 // reflection (codec.go). A request body is read once into a pooled
 // buffer. A canonical body, which is what json.Marshal of
-// api.EvalRequest writes, is scanned straight into points: the single key
-// "points", lowercase point keys each used once, strings of printable
-// ASCII without escapes, and numbers strconv.ParseFloat parses in range.
-// Every other body (case-folded or duplicate keys, escapes, null,
-// non-ASCII bytes, malformed or oversized input) goes to json.Decoder
-// with DisallowUnknownFields, so every spelling accepted before is still
-// accepted and every error reads as before. Results are appended as bytes
-// in exactly json.Encoder's rendering. The other routes, and the stream's
-// error lines, encode through encoding/json.
+// api.EvalRequest writes, is scanned straight into typed points: the
+// single key "points", lowercase point keys each used once, names spelled
+// as the vocabulary spells them or in lowercase, each resolved once
+// through one table, and numbers strconv.ParseFloat parses in range.
+// Every other body (case-folded or duplicate keys, other spellings,
+// escapes, null, non-ASCII bytes, malformed or oversized input) goes to
+// json.Decoder with DisallowUnknownFields and api.EvalPoint.Point, so
+// every spelling accepted before is still accepted and every error reads
+// as before. Results are appended as bytes in exactly json.Encoder's
+// rendering. The other routes, and the stream's error lines, encode
+// through encoding/json.
 //
 // The wire vocabulary — request/response bodies, endpoint paths, typed
 // sentinel errors and their status mapping — lives in repro/flexwatts/api,
@@ -455,47 +457,58 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 	b.WriteTo(w) //nolint:errcheck // client gone, nothing to do
 }
 
-// buildJob validates one request point into an evaluable job. Parsing and
-// validation are the library's: the wire point becomes a typed
-// flexwatts.Point (api.EvalPoint.Point) and Point.Validate applies the one
-// set of rules, so the daemon can never drift from what the library
-// considers a valid point; only the scenario construction is local.
-func (s *Server) buildJob(p api.EvalPoint) (batch.Point, error) {
-	pt, err := p.Point()
-	if err != nil {
-		return batch.Point{}, err
+// The internal enum of each typed kind, workload class and package state.
+// The two vocabularies share the paper's spelling, so the String/Parse
+// round trip, run once here, is the conversion.
+var (
+	internalKinds     [flexwatts.IMBVR + 1]pdn.Kind
+	internalWorkloads [flexwatts.BatteryLife + 1]workload.Type
+	internalCStates   [flexwatts.C8 + 1]domain.CState
+)
+
+func init() {
+	for _, k := range flexwatts.AllKinds() {
+		internalKinds[k] = mustParse(pdn.ParseKind(k.String()))
 	}
+	for _, t := range append(flexwatts.WorkloadTypes(), flexwatts.BatteryLife) {
+		internalWorkloads[t] = mustParse(workload.ParseType(t.String()))
+	}
+	for _, c := range flexwatts.CStates() {
+		internalCStates[c] = mustParse(domain.ParseCState(c.String()))
+	}
+}
+
+// mustParse returns v; err means the two vocabularies have drifted apart.
+func mustParse[T any](v T, err error) T {
+	if err != nil {
+		panic("server: " + err.Error())
+	}
+	return v
+}
+
+// buildJob validates one typed request point into *job, in place.
+// Point.Validate applies the library's one set of rules, so the daemon can
+// never drift from what the library considers a valid point; only the
+// scenario construction is local. The point's kind is a named one: it was
+// read through wireVocab or api.EvalPoint.Point.
+func (s *Server) buildJob(job *batch.Point, pt flexwatts.Point) error {
 	if err := pt.Validate(); err != nil {
-		return batch.Point{}, err
+		return err
 	}
-	// The typed and internal enums share the paper's spelling, so the
-	// String/Parse round trip is the conversion.
-	kind, err := pdn.ParseKind(pt.PDN.String())
-	if err != nil {
-		return batch.Point{}, err
-	}
-	tdp := float64(pt.TDP)
+	job.Kind = internalKinds[pt.PDN]
+	job.TDP = float64(pt.TDP)
 	if pt.CState != flexwatts.C0 {
 		// Battery-life states (C0MIN and package C2…C8) evaluate the
 		// fig4j/fig8c scenarios; the TDP only steers FlexWatts' predictor.
-		cstate, err := domain.ParseCState(pt.CState.String())
-		if err != nil {
-			return batch.Point{}, err
+		if job.TDP == 0 {
+			job.TDP = 4 // battery-life evaluation is TDP-independent (§7.1)
 		}
-		if tdp == 0 {
-			tdp = 4 // battery-life evaluation is TDP-independent (§7.1)
-		}
-		return batch.Point{Kind: kind, Scenario: workload.CStateScenario(s.env.Platform, cstate), TDP: tdp}, nil
+		job.Scenario = workload.CStateScenario(s.env.Platform, internalCStates[pt.CState])
+		return nil
 	}
-	wt, err := workload.ParseType(pt.Workload.String())
-	if err != nil {
-		return batch.Point{}, err
-	}
-	sc, err := workload.TDPScenario(s.env.Platform, tdp, wt, pt.AR)
-	if err != nil {
-		return batch.Point{}, err
-	}
-	return batch.Point{Kind: kind, Scenario: sc, TDP: tdp}, nil
+	var err error
+	job.Scenario, err = workload.TDPScenario(s.env.Platform, job.TDP, internalWorkloads[pt.Workload], pt.AR)
+	return err
 }
 
 // decodeEvalRequest reads and validates an evaluate request body into
@@ -521,7 +534,7 @@ func (s *Server) decodeEvalRequest(w http.ResponseWriter, r *http.Request) (req 
 func (s *Server) readEvalRequest(w http.ResponseWriter, r *http.Request, req *evalRequest) error {
 	var readErr error
 	req.body, readErr = readBody(http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes), req.body)
-	points, err := req.decode(readErr)
+	n, badName, err := req.decode(readErr)
 	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
@@ -529,20 +542,21 @@ func (s *Server) readEvalRequest(w http.ResponseWriter, r *http.Request, req *ev
 		}
 		return fmt.Errorf("%w: bad request body: %v", api.ErrInvalidPoint, err)
 	}
-	if len(points) == 0 {
+	if n == 0 {
 		return fmt.Errorf("%w: request has no points", api.ErrInvalidPoint)
 	}
-	if len(points) > s.opts.MaxBatch {
+	if n > s.opts.MaxBatch {
 		return fmt.Errorf("%w: %d points exceeds the %d-point batch cap",
-			api.ErrBatchTooLarge, len(points), s.opts.MaxBatch)
+			api.ErrBatchTooLarge, n, s.opts.MaxBatch)
 	}
-	req.jobs = slices.Grow(req.jobs, len(points))[:len(points)]
-	for i, p := range points {
-		job, err := s.buildJob(p)
-		if err != nil {
+	req.jobs = slices.Grow(req.jobs, len(req.points))[:len(req.points)]
+	for i := range req.points {
+		if err := s.buildJob(&req.jobs[i], req.points[i]); err != nil {
 			return fmt.Errorf("point %d: %w: %v", i, api.ErrInvalidPoint, err)
 		}
-		req.jobs[i] = job
+	}
+	if badName != nil {
+		return fmt.Errorf("point %d: %w: %v", len(req.points), api.ErrInvalidPoint, badName)
 	}
 	return nil
 }
