@@ -5,8 +5,12 @@ GO ?= go
 # alternatives must not contain "/": go test splits -bench on slashes and
 # applies each piece per sub-benchmark level, so a top-level name match
 # runs all of its sub-benchmarks (BenchmarkEvaluateGrid covers every
-# kind/mode variant plus the Looped scalar reference).
-BENCHES ?= BenchmarkEvaluateETEE|BenchmarkEvaluateGrid|BenchmarkReferenceSim|BenchmarkPredictor$$|BenchmarkSuiteSerial|BenchmarkSuiteParallel|BenchmarkTraceSim|BenchmarkCompareOnTraces|BenchmarkOptimize
+# kind/mode variant plus the Looped scalar reference). The served handlers
+# (BenchmarkServeEvaluate, BenchmarkServeOptimize) are recorded beside the
+# kernels, but benchjson -check skips a benchmark its baseline run lacks
+# ("skipped ...: not in baseline"), so bench-check and CI's perf-gate gate
+# them only once a baseline row holds them.
+BENCHES ?= BenchmarkEvaluateETEE|BenchmarkEvaluateGrid|BenchmarkReferenceSim|BenchmarkPredictor$$|BenchmarkSuiteSerial|BenchmarkSuiteParallel|BenchmarkTraceSim|BenchmarkCompareOnTraces|BenchmarkOptimize|BenchmarkServeEvaluate|BenchmarkServeOptimize
 BENCHTIME ?= 1s
 BENCH_LABEL ?= current
 # PR 10 migrated the perf record from BENCH_9.json: BENCH_10's "baseline"

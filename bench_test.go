@@ -339,17 +339,25 @@ func BenchmarkOptimize(b *testing.B) {
 // api.EvalRequest, as the SDK sends) of n points. "sweep" is shaped like
 // perfbench's sweep-cold: the four baselines in turn, TDP-major with 32
 // ARs innermost. "flex" is FlexWatts points over TDP, workload type and
-// AR, with every eighth point in a package idle state.
+// AR, with every eighth point in a package idle state. "scatter" is shaped
+// like perfbench's scatter-warm: kind, TDP (3 decimals), workload type and
+// AR (4 decimals) drawn independently per point from a fixed seed, so
+// neighbouring points share no column and the kernels' change masks and
+// the Eq. 2 memo see random order, which the sweep shape hides.
 func serveBody(tb testing.TB, shape string, n int) []byte {
 	tb.Helper()
 	kinds := []string{"IVR", "MBVR", "LDO", "I+MBVR"}
 	types := []string{"Single-Thread", "Multi-Thread", "Graphics"}
+	rng := rand.New(rand.NewSource(1))
 	pts := make([]api.EvalPoint, n)
 	for i := range pts {
 		switch shape {
 		case "sweep":
 			pts[i] = api.EvalPoint{PDN: kinds[i*4/n], TDP: 4 + float64(i/32%32)*1.375,
 				Workload: types[i*4/n%3], AR: 0.2 + 0.8*float64(i%32)/31}
+		case "scatter":
+			pts[i] = api.EvalPoint{PDN: kinds[rng.Intn(len(kinds))], TDP: math.Round((4+46*rng.Float64())*1e3) / 1e3,
+				Workload: types[rng.Intn(len(types))], AR: math.Round((0.2+0.8*rng.Float64())*1e4) / 1e4}
 		case "flex":
 			pts[i] = api.EvalPoint{PDN: "FlexWatts", TDP: 4 + float64(i%23)*2, Workload: types[i%3], AR: 0.2 + 0.05*float64(i%17)}
 			if i%8 == 7 {
@@ -416,6 +424,7 @@ func BenchmarkServeEvaluate(b *testing.B) {
 		{"sweep-4096", api.PathEvaluate, "sweep", 4096},
 		{"flex-64", api.PathEvaluate, "flex", 64},
 		{"stream-4096", api.PathEvaluateStream, "sweep", 4096},
+		{"scatter-4096", api.PathEvaluateStream, "scatter", 4096},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			serve := serveOnce(b, h, bc.path, serveBody(b, bc.shape, bc.n))
