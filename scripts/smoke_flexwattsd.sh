@@ -6,14 +6,26 @@
 # post one batch to each evaluate route and one small search to
 # /v1/optimize, check that the search added keys and hits to
 # /v1/admin/cache, and check that /metrics booked that work and counted no
-# 5xx answer. Run by `make smoke` locally and by the CI smoke job.
+# 5xx answer. Run by `make smoke` locally and by the CI smoke job. Its
+# binary and the fetched bodies live in two temporary directories, removed
+# on every exit, failed build included.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 PORT="${SMOKE_PORT:-18080}"
 BASE="http://127.0.0.1:${PORT}"
-BIN="$(mktemp -d)/flexwattsd"
+BINDIR="$(mktemp -d)"
 OUT="$(mktemp -d)"
+PID=
+cleanup() {
+    if [ -n "$PID" ]; then
+        kill "$PID" 2>/dev/null || true
+        wait "$PID" 2>/dev/null || true
+    fi
+    rm -rf "$BINDIR" "$OUT"
+}
+trap cleanup EXIT
+BIN="$BINDIR/flexwattsd"
 
 fail() {
     echo "smoke: FAILED — $*" >&2
@@ -25,7 +37,6 @@ go build -race -o "$BIN" ./cmd/flexwattsd
 
 "$BIN" -addr "127.0.0.1:${PORT}" &
 PID=$!
-trap 'kill "$PID" 2>/dev/null || true; wait "$PID" 2>/dev/null || true' EXIT
 
 echo "== waiting for /healthz"
 for _ in $(seq 1 100); do
@@ -106,5 +117,5 @@ done
 echo "== graceful shutdown"
 kill -TERM "$PID"
 wait "$PID"
-trap - EXIT
+PID=
 echo "smoke: all checks passed"
