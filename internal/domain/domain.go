@@ -186,29 +186,3 @@ func (d *Domain) LeakFraction(f units.Hertz, ar, tj float64) float64 {
 	}
 	return d.Leakage(d.VoltageAt(f), tj) / p
 }
-
-// MaxFreqForPower returns the highest grid frequency whose nominal power at
-// (ar, tj) does not exceed budget, or FMin if even the minimum exceeds it.
-// The power model is monotone in f, so a binary search over the DVFS grid
-// suffices.
-func (d *Domain) MaxFreqForPower(budget units.Watt, ar, tj float64) units.Hertz {
-	lo, hi := d.p.FMin, d.p.FMax
-	if d.Power(lo, ar, tj) > budget {
-		return lo
-	}
-	if d.Power(hi, ar, tj) <= budget {
-		return hi
-	}
-	for hi-lo > d.p.FStep/2 {
-		mid := d.ClampFreq((lo + hi) / 2)
-		if mid <= lo {
-			break
-		}
-		if d.Power(mid, ar, tj) <= budget {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}

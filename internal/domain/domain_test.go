@@ -3,7 +3,6 @@ package domain
 import (
 	"math"
 	"testing"
-	"testing/quick"
 
 	"repro/internal/units"
 )
@@ -107,28 +106,6 @@ func TestLeakageScaling(t *testing.T) {
 	}
 	if d.Leakage(0, 80) != 0 {
 		t.Error("zero voltage must have zero leakage")
-	}
-}
-
-func TestMaxFreqForPowerInverse(t *testing.T) {
-	d := testPlatform().Domain(Core0)
-	f := func(budgetRaw, arRaw float64) bool {
-		budget := 0.3 + math.Mod(math.Abs(budgetRaw), 20)
-		ar := 0.1 + math.Mod(math.Abs(arRaw), 0.9)
-		fm := d.MaxFreqForPower(budget, ar, 80)
-		// The selected frequency fits the budget (unless even FMin does
-		// not), and the next grid step exceeds it.
-		if d.Power(fm, ar, 80) > budget && fm > d.Params().FMin {
-			return false
-		}
-		next := fm + d.Params().FStep
-		if next <= d.Params().FMax && d.Power(next, ar, 80) <= budget {
-			return false // not maximal
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
-		t.Error(err)
 	}
 }
 
