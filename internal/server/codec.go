@@ -138,9 +138,10 @@ type vocabName struct {
 
 // wireVocab holds each vocabulary name as the library spells it and in
 // lowercase, resolved once through the library's parsers, so a scanned
-// name costs one lookup and no parse. The parsers accept more (any case,
-// "IMBVR", padding, a missing hyphen, the empty name); the scanner leaves
-// those to json.Decoder and api.EvalPoint.Point.
+// name costs one lookup and no parse. The parsers accept more spellings
+// (other cases, aliases such as "IMBVR" and "gfx", padding, a missing
+// hyphen, the empty name); the scanner leaves those to json.Decoder and
+// api.EvalPoint.Point.
 var wireVocab = func() map[string]vocabName {
 	m := map[string]vocabName{}
 	addVocab(m, keyPDN, flexwatts.AllKinds(), flexwatts.ParseKind)
