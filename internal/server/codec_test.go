@@ -266,7 +266,7 @@ func TestScanEvalPoints(t *testing.T) {
 		}
 		want, err := decodeReference([]byte(tc.body))
 		if err != nil || !samePoints(got, want) {
-			t.Errorf("%q: scanned %+v, json.Decoder %+v (%v)", tc.body, got, want, err)
+			t.Errorf("%q: scanned %+v, decoder path %+v (%v)", tc.body, got, want, err)
 		}
 	}
 }
@@ -311,7 +311,7 @@ func FuzzDecodeEvalPoints(f *testing.F) {
 			t.Fatalf("scanner accepted a body the decoder path rejects (%v): %q", err, body)
 		}
 		if !samePoints(got, want) {
-			t.Fatalf("%q: scanned %+v, json.Decoder %+v", body, got, want)
+			t.Fatalf("%q: scanned %+v, decoder path %+v", body, got, want)
 		}
 	})
 }
