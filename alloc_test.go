@@ -282,9 +282,10 @@ func TestCacheGridAllocs(t *testing.T) {
 // TestServeEvaluateAllocs caps what a warm 4096-point canonical
 // /v1/evaluate request allocates in the handler, middleware included.
 // The body, the scanned points, the jobs and the response reuse one
-// pooled request state, and the vocabulary names are interned, so what
-// remains is per request (the batch's bookkeeping, the headers), not per
-// point. The reflective codec it replaced allocated 42,462.
+// pooled request state, and the vocabulary names resolve to typed values
+// without a string, so what remains is per request (the batch's
+// bookkeeping, the headers), not per point. The reflective codec it
+// replaced allocated 42,462.
 func TestServeEvaluateAllocs(t *testing.T) {
 	if raceDetectorEnabled {
 		t.Skip("race detector drops sync.Pool puts; pooled buffers reallocate")
